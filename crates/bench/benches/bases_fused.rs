@@ -1,7 +1,8 @@
-//! Fused vs staged pipeline ablation on the census-like stand-in.
+//! Fused pipeline vs staged oracle ablation on the census-like stand-in.
 //!
 //! Times the full bases pipeline (mine closed sets → lattice → DG +
-//! Luxenburger bases) through both [`PipelineKind`]s on fresh contexts,
+//! Luxenburger bases) as [`RuleMiner::mine_context`] runs it and as the
+//! retained [`RuleMiner::staged_oracle`] composes it, on fresh contexts,
 //! then tallies the engine traffic of one run of each via
 //! [`MiningContext::closure_cache_stats`]: the fused path builds the
 //! Hasse diagram during the mining traversal and derives the frequent
@@ -11,7 +12,7 @@
 //! printing it, so running it doubles as the acceptance check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rulebases::{MinSupport, PipelineKind, RuleMiner};
+use rulebases::{MinSupport, MinedBases, RuleMiner};
 use rulebases_bench::{append_bench_history, write_bench_artifact, Scale, StandIn};
 use rulebases_dataset::{EngineKind, MiningContext};
 use serde::Serialize;
@@ -38,6 +39,9 @@ struct FusedBenchRecord {
     pipelines: Vec<PipelineTally>,
 }
 
+/// One way to run the whole bases pipeline over a context.
+type Pipeline = fn(&RuleMiner, &MiningContext) -> MinedBases;
+
 fn bench_bases_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("bases-fused");
     group
@@ -52,33 +56,32 @@ fn bench_bases_fused(c: &mut Criterion) {
     // the pipelines, not dataset generation.
     let db = Arc::new(dataset.generate(Scale::Test));
 
-    for pipeline in PipelineKind::ALL {
-        let miner = RuleMiner::new(minsup)
-            .min_confidence(0.7)
-            .pipeline(pipeline);
-        group.bench_function(BenchmarkId::new("pipeline", pipeline), |b| {
+    let miner = RuleMiner::new(minsup).min_confidence(0.7);
+    let pipelines: [(&str, Pipeline); 2] = [
+        ("staged", RuleMiner::staged_oracle),
+        ("fused", RuleMiner::mine_context),
+    ];
+    for (name, run) in pipelines {
+        group.bench_function(BenchmarkId::new("pipeline", name), |b| {
             b.iter(|| {
                 // A fresh context per iteration: the closure cache must
                 // not let one pipeline ride the other's warm-up.
                 let ctx = MiningContext::with_engine_arc(db.clone(), EngineKind::Auto);
-                black_box(miner.mine_context(&ctx))
+                black_box(run(&miner, &ctx))
             })
         });
     }
     group.finish();
 
     // Engine-traffic tally — one clean run per pipeline on a cold cache.
-    let tally = |pipeline: PipelineKind| {
+    let tally = |run: Pipeline| {
         let ctx = MiningContext::with_engine_arc(db.clone(), EngineKind::Auto);
         let start = Instant::now();
-        let _ = RuleMiner::new(minsup)
-            .min_confidence(0.7)
-            .pipeline(pipeline)
-            .mine_context(&ctx);
+        let _ = run(&miner, &ctx);
         (ctx.closure_cache_stats(), start.elapsed())
     };
-    let (staged, staged_wall) = tally(PipelineKind::Staged);
-    let (fused, fused_wall) = tally(PipelineKind::Fused);
+    let (staged, staged_wall) = tally(pipelines[0].1);
+    let (fused, fused_wall) = tally(pipelines[1].1);
     let mut pipelines = Vec::new();
     for (name, stats, wall) in [
         ("staged", staged, staged_wall),

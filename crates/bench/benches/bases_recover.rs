@@ -23,7 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rulebases::checkpoint::{CheckpointPolicy, CheckpointedMiner};
-use rulebases::{MinSupport, PipelineKind, RuleMiner};
+use rulebases::{MinSupport, RuleMiner};
 use rulebases_bench::{
     append_bench_history, drifting_census, project_top_items, write_bench_artifact, Scale, StandIn,
 };
@@ -161,15 +161,7 @@ fn bench_bases_recover(c: &mut Criterion) {
             })
         });
         group.bench_function(BenchmarkId::new("remine", name), |b| {
-            b.iter(|| {
-                black_box(
-                    miner()
-                        .pipeline(PipelineKind::Fused)
-                        .mine(full_db())
-                        .dg
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(miner().mine(full_db()).dg.len()))
         });
 
         // One clean tallied run per mode for the artifact + invariants.
@@ -178,7 +170,7 @@ fn bench_bases_recover(c: &mut Criterion) {
         let (mut recovered, report) = CheckpointedMiner::recover(&dir).expect("recover session");
         let recover_wall_us = start.elapsed().as_secs_f64() * 1e6;
         let start = Instant::now();
-        let oracle = miner().pipeline(PipelineKind::Fused).mine(full_db());
+        let oracle = miner().mine(full_db());
         let remine_wall_us = start.elapsed().as_secs_f64() * 1e6;
 
         assert!(report.lost.is_none(), "{name}: nothing may be lost");

@@ -28,7 +28,7 @@
 //! data that in a real deployment no longer fits where it is cheap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rulebases::{MinSupport, PipelineKind, RuleMiner};
+use rulebases::{MinSupport, RuleMiner};
 use rulebases_bench::{append_bench_history, run_kernel_probes, write_bench_artifact, KernelProbe};
 use rulebases_dataset::{MiningContext, TransactionDb};
 use serde::Serialize;
@@ -66,7 +66,7 @@ fn replay_streaming(rows: &[Vec<u32>]) -> (u64, u64) {
 fn replay_remining(rows: &[Vec<u32>]) -> u64 {
     let mut calls = 0;
     let mut seen = 0;
-    let config = miner().pipeline(PipelineKind::Fused);
+    let config = miner();
     while seen < rows.len() {
         seen = (seen + BATCH).min(rows.len());
         let ctx = MiningContext::new(TransactionDb::from_rows(rows[..seen].to_vec()));

@@ -22,7 +22,7 @@
 //! same commit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rulebases::{MinSupport, PipelineKind, RuleMiner, Window};
+use rulebases::{MinSupport, RuleMiner, Window};
 use rulebases_bench::{append_bench_history, drifting_census, write_bench_artifact};
 use rulebases_dataset::TransactionDb;
 use serde::Serialize;
@@ -102,7 +102,7 @@ fn replay_unbounded_storage(rows: &[Vec<u32>]) -> u64 {
 /// boundary — what serving a windowed view costs without incremental
 /// expiry.
 fn replay_remine_window(rows: &[Vec<u32>]) {
-    let config = miner().pipeline(PipelineKind::Fused);
+    let config = miner();
     let mut seen = 0;
     while seen < rows.len() {
         seen = (seen + BATCH).min(rows.len());

@@ -4,12 +4,10 @@
 //! exp all                 # every table and figure at the default scale
 //! exp table2 --scale full # one experiment at paper-scale object counts
 //! exp table2 --engine sharded:4:dense   # pick the SupportEngine backend
-//! exp table3 --pipeline fused           # one-pass fused pipeline
 //! exp verify              # structural sanity checks across the suite
 //! ```
 
-use rulebases::PipelineKind;
-use rulebases_bench::datasets::{ENGINE_ENV, PIPELINE_ENV};
+use rulebases_bench::datasets::ENGINE_ENV;
 use rulebases_bench::tables;
 use rulebases_bench::Scale;
 use rulebases_dataset::EngineKind;
@@ -17,8 +15,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: exp <table1|table2|table3|table4|fig1|fig2|fig3|verify|all> \
 [--scale test|default|full] \
-[--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] \
-[--pipeline staged|fused]";
+[--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,23 +52,6 @@ fn main() -> ExitCode {
                 // The tables read the backend from the environment, so
                 // the flag and `RULEBASES_ENGINE=...` are equivalent.
                 std::env::set_var(ENGINE_ENV, kind.to_string());
-                i += 2;
-            }
-            "--pipeline" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("--pipeline needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                let kind: PipelineKind = match value.parse() {
-                    Ok(kind) => kind,
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                // Like --engine: the flag and `RULEBASES_PIPELINE=...`
-                // are equivalent.
-                std::env::set_var(PIPELINE_ENV, kind.to_string());
                 i += 2;
             }
             other if which.is_none() => {

@@ -6,21 +6,17 @@
 //! ```bash
 //! probe MUSHROOMS 0.5 [test|default|full] [--frequent] \
 //!     [--engine auto|dense|tid-list|diffset|sharded:<k>:<inner>] \
-//!     [--pipeline staged|fused] \
 //!     [--stream [--batch <n>] [--window <n>] \
 //!         [--checkpoint-dir <d> [--crash-after <k>]]] \
 //!     [--serve [--readers <n>]]
 //! ```
 //!
-//! Without `--engine` / `--pipeline`, the backend and pipeline come from
-//! the `RULEBASES_ENGINE` / `RULEBASES_PIPELINE` environment variables
-//! (defaults `auto` and `staged`). With `--pipeline fused`, the cell runs
-//! the full fused bases pipeline instead of the bare closed miner and
-//! reports the lattice/bases shape plus the engine-call tally. With
-//! `--stream`, the dataset is *replayed* in `--batch`-row appends (default
-//! 64) through `RuleMiner::streaming`, reporting per-replay movement
-//! totals and the engine calls the whole replay cost next to what one
-//! fused re-mine of the final context pays. The streaming session
+//! Without `--engine`, the backend comes from the `RULEBASES_ENGINE`
+//! environment variable (default `auto`). With `--stream`, the dataset
+//! is *replayed* in `--batch`-row appends (default 64) through
+//! `RuleMiner::streaming`, reporting per-replay movement totals and the
+//! engine calls the whole replay cost next to what one full `RuleMiner`
+//! re-mine of the final context pays. The streaming session
 //! maintains the **unthresholded** closure system (so the threshold can
 //! rescale per batch), whose size is governed by the item universe — the
 //! replay therefore projects the dataset onto its `--stream-items` most
@@ -56,10 +52,8 @@
 //! latencies printed at the end.
 
 use rulebases::checkpoint::CheckpointedMiner;
-use rulebases::{PipelineKind, RuleMiner, RuleReader, Window};
-use rulebases_bench::{
-    drifting_census, engine_from_env, pipeline_from_env, project_top_items, Scale, StandIn,
-};
+use rulebases::{RuleMiner, RuleReader, Window};
+use rulebases_bench::{drifting_census, engine_from_env, project_top_items, Scale, StandIn};
 use rulebases_dataset::pool::fan_out;
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 use rulebases_mining::{Apriori, Close, ClosedMiner};
@@ -70,7 +64,6 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut engine: Option<EngineKind> = None;
-    let mut pipeline: Option<PipelineKind> = None;
     let mut positional: Vec<&str> = Vec::new();
     let mut with_frequent = false;
     let mut stream = false;
@@ -141,11 +134,6 @@ fn main() {
                 engine = Some(value.parse().unwrap_or_else(|e| panic!("--engine: {e}")));
                 i += 2;
             }
-            "--pipeline" => {
-                let value = args.get(i + 1).expect("--pipeline needs a value");
-                pipeline = Some(value.parse().unwrap_or_else(|e| panic!("--pipeline: {e}")));
-                i += 2;
-            }
             other => {
                 positional.push(other);
                 i += 1;
@@ -162,7 +150,6 @@ fn main() {
         .and_then(|s| Scale::parse(s))
         .unwrap_or(Scale::Test);
     let engine = engine.unwrap_or_else(engine_from_env);
-    let pipeline = pipeline.unwrap_or_else(pipeline_from_env);
 
     // `DRIFT` is the windowed-streaming workload (popularity rotates per
     // block); every other name resolves against the paper stand-ins.
@@ -181,7 +168,7 @@ fn main() {
         (dataset.name(), dataset.generate(scale))
     };
     println!(
-        "{label} |O|={} |I|={} minsup={minsup} engine={engine} pipeline={pipeline}",
+        "{label} |O|={} |I|={} minsup={minsup} engine={engine}",
         db.n_transactions(),
         db.n_items()
     );
@@ -381,11 +368,9 @@ fn main() {
         );
         let streaming_calls = session.context().closure_cache_stats().engine_calls();
         let remine_ctx = MiningContext::with_engine(session.db().clone(), engine);
-        let _ = miner
-            .pipeline(PipelineKind::Fused)
-            .mine_context(&remine_ctx);
+        let _ = miner.mine_context(&remine_ctx);
         println!(
-            "engine calls: {streaming_calls} for the whole replay vs {} for ONE fused \
+            "engine calls: {streaming_calls} for the whole replay vs {} for ONE \
              re-mine of the final context",
             remine_ctx.closure_cache_stats().engine_calls()
         );
@@ -394,39 +379,6 @@ fn main() {
 
     let ctx = MiningContext::with_engine(db, engine);
     println!("resolved backend: {}", ctx.engine_name());
-
-    if pipeline == PipelineKind::Fused {
-        let minconf = 0.5;
-        let start = Instant::now();
-        let bases = RuleMiner::new(MinSupport::Fraction(minsup))
-            .min_confidence(minconf)
-            .pipeline(pipeline)
-            .mine_context(&ctx);
-        println!(
-            "|FC| = {} ({} Hasse edges, DG {} rules, Lux reduced {} rules \
-             at minconf {minconf}, {:.1} ms)",
-            bases.n_closed_nonempty(),
-            bases.lattice.n_edges(),
-            bases.dg.len(),
-            bases.luxenburger_reduced_rules().len(),
-            start.elapsed().as_secs_f64() * 1e3
-        );
-        if with_frequent {
-            // The fused pipeline derives F from FC — already in the
-            // bundle, no extra mining pass to time.
-            println!("|F| = {} (derived from FC)", bases.frequent.len());
-        }
-        let stats = ctx.closure_cache_stats();
-        println!(
-            "engine calls: {} ({} closure lookups, {} extents, {} supports, {} intents)",
-            stats.engine_calls(),
-            stats.lookups(),
-            stats.extents,
-            stats.supports,
-            stats.intents
-        );
-        return;
-    }
 
     let start = Instant::now();
     let fc = Close::new().mine_closed(&ctx, MinSupport::Fraction(minsup));

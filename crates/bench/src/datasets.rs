@@ -5,7 +5,6 @@
 //! three scales so tests stay fast while `--scale full` reproduces the
 //! original object counts.
 
-use rulebases::PipelineKind;
 use rulebases_dataset::generator::{census_like, mushroom_like_scaled, QuestConfig};
 use rulebases_dataset::{EngineKind, Item, TransactionDb};
 
@@ -13,11 +12,6 @@ use rulebases_dataset::{EngineKind, Item, TransactionDb};
 /// runners mine through (`auto`, `dense`, `tid-list`, `diffset`,
 /// `sharded:<k>:<inner>`). The `exp` binary's `--engine` flag sets it.
 pub const ENGINE_ENV: &str = "RULEBASES_ENGINE";
-
-/// Environment variable naming the [`PipelineKind`] the experiment
-/// runners mine through (`staged` or `fused`). The `exp` and `probe`
-/// binaries' `--pipeline` flags set it.
-pub const PIPELINE_ENV: &str = "RULEBASES_PIPELINE";
 
 /// The engine backend selected by [`ENGINE_ENV`], defaulting to
 /// [`EngineKind::Auto`] when unset or empty.
@@ -32,22 +26,6 @@ pub fn engine_from_env() -> EngineKind {
             .parse()
             .unwrap_or_else(|e| panic!("{ENGINE_ENV}: {e}")),
         _ => EngineKind::Auto,
-    }
-}
-
-/// The pipeline selected by [`PIPELINE_ENV`], defaulting to
-/// [`PipelineKind::Staged`] when unset or empty.
-///
-/// # Panics
-///
-/// Panics on an unparseable value, so a CLI typo fails loudly instead of
-/// silently benchmarking the wrong pipeline.
-pub fn pipeline_from_env() -> PipelineKind {
-    match std::env::var(PIPELINE_ENV) {
-        Ok(value) if !value.trim().is_empty() => value
-            .parse()
-            .unwrap_or_else(|e| panic!("{PIPELINE_ENV}: {e}")),
-        _ => PipelineKind::Staged,
     }
 }
 

@@ -26,8 +26,7 @@ pub use rulebases_dataset::pool as parallel;
 
 pub use artifact::{append_bench_history, write_bench_artifact};
 pub use datasets::{
-    drifting_census, engine_from_env, pipeline_from_env, project_top_items, wide_flat, Scale,
-    StandIn,
+    drifting_census, engine_from_env, project_top_items, wide_flat, Scale, StandIn,
 };
 pub use kernels_probe::{run_kernel_probes, KernelProbe};
 pub use parallel::{parallel_map, Parallelism};

@@ -428,12 +428,11 @@ pub fn fig3_header() -> String {
 }
 
 /// Shared pipeline cell: mine one `(dataset, scale, minsup, minconf)`
-/// through the env-selected engine backend and pipeline.
+/// through the env-selected engine backend.
 fn mine(d: StandIn, scale: Scale, minsup: f64, minconf: f64) -> MinedBases {
     RuleMiner::new(MinSupport::Fraction(minsup))
         .min_confidence(minconf)
         .engine(crate::datasets::engine_from_env())
-        .pipeline(crate::datasets::pipeline_from_env())
         .mine(d.generate(scale))
 }
 

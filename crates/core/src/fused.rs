@@ -1,13 +1,12 @@
-//! The fused one-pass pipeline.
+//! The fused one-pass pipeline behind [`RuleMiner::mine`].
 //!
-//! The staged pipeline ([`RuleMiner`] with [`PipelineKind::Staged`])
-//! walks the closed-set lattice three times: the miner materializes `FC`,
-//! [`IcebergLattice::from_closed`] rebuilds the Hasse diagram from
-//! scratch with a pairwise pass, and the frequent itemsets are re-mined
-//! from the database by Apriori before the bases are derived.
-//! [`FusedMiner`] collapses those traversals into the mining pass itself,
-//! the construction Hamrouni et al. and Vo & Le describe for extracting
-//! generic bases *during* closed-set discovery:
+//! A staged composition walks the closed-set lattice three times: the
+//! miner materializes `FC`, [`IcebergLattice::from_closed`] rebuilds the
+//! Hasse diagram from scratch with a pairwise pass, and the frequent
+//! itemsets are re-mined from the database by Apriori before the bases
+//! are derived. The fused pipeline collapses those traversals into the
+//! mining pass itself, the construction Hamrouni et al. and Vo & Le
+//! describe for extracting generic bases *during* closed-set discovery:
 //!
 //! * as Close / A-Close / CHARM prove each closed set, it streams through
 //!   a [`ClosedSink`] into an [`IncrementalLattice`] that maintains the
@@ -22,11 +21,13 @@
 //!   and the Duquenne-Guigues basis is built from the derived frequent
 //!   sets and the already-indexed `FC`.
 //!
-//! The two pipelines are property-tested equal (closed sets, Hasse
-//! edges, both bases) across every engine backend in
-//! `tests/equivalence.rs`; the `bases-fused` bench ablates their engine
-//! traffic via [`MiningContext::closure_cache_stats`] — the fused path
-//! answers the same questions with strictly fewer engine calls.
+//! The staged composition survives only as the reference
+//! [`RuleMiner::staged_oracle`]. The two are property-tested equal
+//! (closed sets, Hasse edges, `F`, all three bases) across every
+//! algorithm and engine backend in `tests/equivalence.rs`; the
+//! `bases-fused` bench ablates their engine traffic via
+//! [`MiningContext::closure_cache_stats`] — the fused path answers the
+//! same questions with strictly fewer engine calls.
 //!
 //! [`ClosedSink`]: rulebases_mining::ClosedSink
 //! [`IncrementalLattice`]: rulebases_lattice::IncrementalLattice
@@ -38,143 +39,6 @@ use crate::miner::{MinedBases, RuleMiner};
 use rulebases_dataset::{Itemset, MinSupport, MiningContext, Support};
 use rulebases_lattice::IncrementalLattice;
 use rulebases_mining::{Apriori, ClosedItemsets, ClosedSink, FrequentItemsets};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::str::FromStr;
-
-/// Which traversal structure [`RuleMiner`] runs.
-///
-/// Spelled `staged` / `fused` in CLI and environment contexts (the
-/// [`FromStr`] and [`fmt::Display`] implementations round-trip).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PipelineKind {
-    /// The three-pass oracle: mine `FC`, rebuild the Hasse diagram
-    /// pairwise, re-mine `F` with Apriori, then derive the bases.
-    #[default]
-    Staged,
-    /// The one-pass path: lattice and generator tags built during the
-    /// mining traversal, `F` derived from `FC`, bases read off the
-    /// lattice.
-    Fused,
-}
-
-impl PipelineKind {
-    /// Both pipelines — the ablation axis of the `bases-fused` bench and
-    /// the equivalence tests.
-    pub const ALL: [PipelineKind; 2] = [PipelineKind::Staged, PipelineKind::Fused];
-
-    /// Stable identifier.
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineKind::Staged => "staged",
-            PipelineKind::Fused => "fused",
-        }
-    }
-}
-
-impl fmt::Display for PipelineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error parsing a [`PipelineKind`] from its textual form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParsePipelineKindError(String);
-
-impl fmt::Display for ParsePipelineKindError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown pipeline {:?}: expected staged or fused", self.0)
-    }
-}
-
-impl std::error::Error for ParsePipelineKindError {}
-
-impl FromStr for PipelineKind {
-    type Err = ParsePipelineKindError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "staged" => Ok(PipelineKind::Staged),
-            "fused" => Ok(PipelineKind::Fused),
-            other => Err(ParsePipelineKindError(other.to_owned())),
-        }
-    }
-}
-
-/// The one-pass bases miner: a [`RuleMiner`] pinned to
-/// [`PipelineKind::Fused`], with the same builder surface.
-///
-/// ```
-/// use rulebases::{FusedMiner, MinSupport};
-/// use rulebases_dataset::paper_example;
-///
-/// let bases = FusedMiner::new(MinSupport::Fraction(0.4))
-///     .min_confidence(0.5)
-///     .mine(paper_example());
-/// assert_eq!(bases.dg.len(), 3);
-/// assert_eq!(bases.lattice.n_edges(), 7);
-/// ```
-#[derive(Clone, Debug)]
-pub struct FusedMiner {
-    inner: RuleMiner,
-}
-
-impl FusedMiner {
-    /// Creates a fused miner at the given minimum support (same defaults
-    /// as [`RuleMiner::new`] otherwise).
-    pub fn new(min_support: impl Into<MinSupport>) -> Self {
-        FusedMiner {
-            inner: RuleMiner::new(min_support).pipeline(PipelineKind::Fused),
-        }
-    }
-
-    /// Sets the confidence threshold for approximate rules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if outside `[0, 1]`.
-    pub fn min_confidence(mut self, minconf: f64) -> Self {
-        self.inner = self.inner.min_confidence(minconf);
-        self
-    }
-
-    /// Selects the closed-itemset algorithm driving the traversal.
-    pub fn algorithm(mut self, algorithm: rulebases_mining::ClosedAlgorithm) -> Self {
-        self.inner = self.inner.algorithm(algorithm);
-        self
-    }
-
-    /// Selects the [`SupportEngine`](rulebases_dataset::SupportEngine)
-    /// backend (see [`RuleMiner::engine`]).
-    pub fn engine(mut self, engine: rulebases_dataset::EngineKind) -> Self {
-        self.inner = self.inner.engine(engine);
-        self
-    }
-
-    /// Sets the thread policy (see [`RuleMiner::parallelism`]).
-    pub fn parallelism(mut self, parallelism: rulebases_dataset::Parallelism) -> Self {
-        self.inner = self.inner.parallelism(parallelism);
-        self
-    }
-
-    /// Also emit rules with an empty antecedent; off by default.
-    pub fn include_empty_antecedent(mut self, include: bool) -> Self {
-        self.inner = self.inner.include_empty_antecedent(include);
-        self
-    }
-
-    /// Runs the fused pipeline on a database.
-    pub fn mine(&self, db: rulebases_dataset::TransactionDb) -> MinedBases {
-        self.inner.mine(db)
-    }
-
-    /// Runs the fused pipeline on an existing context (keeping that
-    /// context's engine).
-    pub fn mine_context(&self, ctx: &MiningContext) -> MinedBases {
-        self.inner.mine_context(ctx)
-    }
-}
 
 /// The sink the fused traversal mines into: every emission goes straight
 /// into the incremental Hasse builder (which also dedups re-emissions and
@@ -195,8 +59,9 @@ impl ClosedSink for LatticeSink {
 /// `supp(X) = supp(h(X)) = max { supp(C) : X ⊆ C ∈ FC }`.
 ///
 /// Exponential in the widest closed set, exactly like materializing `F`
-/// by mining is; the (practically unreachable) fallback keeps itemsets
-/// wider than the subset-enumeration limit correct rather than fast.
+/// by mining is; the (practically unreachable) Apriori fallback keeps
+/// itemsets wider than the subset-enumeration limit correct rather than
+/// fast.
 pub(crate) fn derive_frequent(
     closed: &ClosedItemsets,
     miner: &RuleMiner,
@@ -253,11 +118,10 @@ pub(crate) fn assemble_bases(
         min_support: miner.min_support_config(),
         min_confidence: miner.min_confidence_config(),
         include_empty_antecedent: miner.include_empty_antecedent_config(),
-        pipeline: PipelineKind::Fused,
         frequent,
         closed,
         lattice,
-        minimal_generators: Some(minimal_generators),
+        minimal_generators,
         dg,
         lux_full,
         lux_reduced,
@@ -299,32 +163,10 @@ mod tests {
     use rulebases_mining::ClosedAlgorithm;
 
     #[test]
-    fn pipeline_kind_round_trips() {
-        for kind in PipelineKind::ALL {
-            assert_eq!(kind.to_string().parse::<PipelineKind>().unwrap(), kind);
-        }
-        assert_eq!(
-            "fused".parse::<PipelineKind>().unwrap(),
-            PipelineKind::Fused
-        );
-        assert_eq!(
-            " staged ".parse::<PipelineKind>().unwrap(),
-            PipelineKind::Staged
-        );
-        assert!("bogus".parse::<PipelineKind>().is_err());
-        assert_eq!(PipelineKind::default(), PipelineKind::Staged);
-    }
-
-    #[test]
     fn fused_matches_staged_on_paper_example() {
-        let staged = RuleMiner::new(MinSupport::Fraction(0.4))
-            .min_confidence(0.5)
-            .mine(paper_example());
-        let fused = FusedMiner::new(MinSupport::Fraction(0.4))
-            .min_confidence(0.5)
-            .mine(paper_example());
-        assert_eq!(fused.pipeline, PipelineKind::Fused);
-        assert_eq!(staged.pipeline, PipelineKind::Staged);
+        let miner = RuleMiner::new(MinSupport::Fraction(0.4)).min_confidence(0.5);
+        let staged = miner.staged_oracle(&MiningContext::new(paper_example()));
+        let fused = miner.mine(paper_example());
         assert_eq!(
             fused.closed.clone().into_sorted_vec(),
             staged.closed.clone().into_sorted_vec()
@@ -349,10 +191,10 @@ mod tests {
         // empty.
         let ctx = MiningContext::new(paper_example());
         for algo in [ClosedAlgorithm::Close, ClosedAlgorithm::AClose] {
-            let bases = FusedMiner::new(MinSupport::Count(2))
+            let bases = RuleMiner::new(MinSupport::Count(2))
                 .algorithm(algo)
                 .mine_context(&ctx);
-            let tags = bases.minimal_generators.as_ref().unwrap();
+            let tags = &bases.minimal_generators;
             assert_eq!(tags.len(), bases.lattice.n_nodes());
             let mut seen = 0;
             for (node, generators) in tags.iter().enumerate() {
@@ -378,14 +220,15 @@ mod tests {
             );
             assert!(seen >= bases.lattice.n_nodes(), "{algo}");
         }
-        // Staged runs carry no tags.
-        let staged = RuleMiner::new(MinSupport::Count(2)).mine_context(&ctx);
-        assert!(staged.minimal_generators.is_none());
+        // The staged oracle collects no tags.
+        let staged = RuleMiner::new(MinSupport::Count(2)).staged_oracle(&ctx);
+        assert_eq!(staged.minimal_generators.len(), staged.lattice.n_nodes());
+        assert!(staged.minimal_generators.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn fused_empty_database() {
-        let bases = FusedMiner::new(MinSupport::Fraction(0.5))
+        let bases = RuleMiner::new(MinSupport::Fraction(0.5))
             .mine(rulebases_dataset::TransactionDb::from_rows(vec![]));
         assert_eq!(bases.frequent.len(), 0);
         assert!(bases.dg.is_empty());
@@ -397,15 +240,16 @@ mod tests {
     #[test]
     fn fused_skips_the_apriori_scan() {
         // The acceptance claim in miniature: on the paper example the
-        // fused pipeline answers every engine question the staged one
+        // fused pipeline answers every engine question the staged oracle
         // answers, with strictly fewer engine calls (no Apriori re-scan
         // of the database, no pairwise lattice rebuild).
+        let miner = RuleMiner::new(MinSupport::Count(2));
         let staged_ctx = MiningContext::new(paper_example());
-        let _ = RuleMiner::new(MinSupport::Count(2)).mine_context(&staged_ctx);
+        let _ = miner.staged_oracle(&staged_ctx);
         let staged_calls = staged_ctx.closure_cache_stats().engine_calls();
 
         let fused_ctx = MiningContext::new(paper_example());
-        let _ = FusedMiner::new(MinSupport::Count(2)).mine_context(&fused_ctx);
+        let _ = miner.mine_context(&fused_ctx);
         let fused_calls = fused_ctx.closure_cache_stats().engine_calls();
 
         assert!(
@@ -414,7 +258,7 @@ mod tests {
         );
         // The fused frequent itemsets are derived, not re-mined: zero
         // database passes on that product.
-        let fused = FusedMiner::new(MinSupport::Count(2)).mine(paper_example());
+        let fused = miner.mine(paper_example());
         assert_eq!(fused.frequent.stats.db_passes, 0);
     }
 }

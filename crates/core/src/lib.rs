@@ -78,7 +78,6 @@ pub use checkpoint::{
 pub use derive::{derive_approximate_rules, derive_exact_rules, ApproxDerivation};
 pub use exact::{all_exact_rules, count_exact_rules, DuquenneGuiguesBasis};
 pub use export::{read_rules_jsonl, write_rules_csv, write_rules_jsonl};
-pub use fused::{FusedMiner, PipelineKind};
 pub use generic_basis::{generic_basis, informative_basis, informative_basis_reduced};
 pub use metrics::RuleMetrics;
 pub use miner::{MinedBases, RuleMiner};

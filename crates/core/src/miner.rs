@@ -1,16 +1,17 @@
 //! High-level facade: from a transaction database to the rule bases.
 //!
 //! [`RuleMiner`] wires the whole pipeline together — context, frequent
-//! itemsets (Apriori), frequent closed itemsets (Close / A-Close / CHARM),
-//! iceberg lattice, Duquenne-Guigues basis, and Luxenburger bases — and
-//! returns a [`MinedBases`] bundle that can enumerate or derive any rule
-//! family and summarize itself as a [`BasisReport`].
+//! closed itemsets (Close / A-Close / CHARM) streamed into the iceberg
+//! lattice, frequent itemsets derived from them, Duquenne-Guigues basis,
+//! and Luxenburger bases (see [`crate::fused`]) — and returns a
+//! [`MinedBases`] bundle that can enumerate or derive any rule family and
+//! summarize itself as a [`BasisReport`].
 
 use crate::all_rules::{all_rules, count_all_rules};
 use crate::approx::{all_approximate_rules, LuxenburgerBasis};
 use crate::derive::{derive_approximate_rules, derive_exact_rules, ApproxDerivation};
 use crate::exact::{all_exact_rules, count_exact_rules, DuquenneGuiguesBasis};
-use crate::fused::{self, PipelineKind};
+use crate::fused;
 use crate::report::BasisReport;
 use crate::rule::Rule;
 use rulebases_dataset::{
@@ -28,7 +29,6 @@ pub struct RuleMiner {
     include_empty_antecedent: bool,
     engine: EngineKind,
     parallelism: Parallelism,
-    pipeline: PipelineKind,
 }
 
 impl RuleMiner {
@@ -44,7 +44,6 @@ impl RuleMiner {
             include_empty_antecedent: false,
             engine: EngineKind::Auto,
             parallelism: Parallelism::Auto,
-            pipeline: PipelineKind::Staged,
         }
     }
 
@@ -93,23 +92,12 @@ impl RuleMiner {
         self
     }
 
-    /// Selects the pipeline structure: the default
-    /// [`PipelineKind::Staged`] three-pass oracle, or the
-    /// [`PipelineKind::Fused`] one-pass traversal (see [`crate::fused`]).
-    /// Both produce identical bases — the fused path just gets there with
-    /// one lattice walk and no Apriori re-scan.
-    pub fn pipeline(mut self, pipeline: PipelineKind) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Opens a streaming session seeded with `db` (possibly empty): the
     /// returned [`StreamingMiner`] keeps engine, closed-set lattice, and
     /// all three bases live while batches arrive through
     /// [`StreamingMiner::push_batch`] — the configured thresholds rescale
-    /// to the growing row count, and the batch pipelines are the
-    /// degenerate one-batch case. The `pipeline` setting is ignored here:
-    /// a stream always maintains the fused shape.
+    /// to the growing row count, and the batch pipeline is the
+    /// degenerate one-batch case.
     ///
     /// [`StreamingMiner`]: crate::stream::StreamingMiner
     /// [`StreamingMiner::push_batch`]: crate::stream::StreamingMiner::push_batch
@@ -180,10 +168,10 @@ impl RuleMiner {
         self.parallelism
     }
 
-    /// Runs the pipeline on a database, through the configured engine
-    /// backend under the configured thread policy (so
-    /// `.parallelism(Parallelism::Off)` makes the whole run sequential,
-    /// sharded engine included).
+    /// Runs the fused pipeline (see [`crate::fused`]) on a database,
+    /// through the configured engine backend under the configured thread
+    /// policy (so `.parallelism(Parallelism::Off)` makes the whole run
+    /// sequential, sharded engine included).
     pub fn mine(&self, db: TransactionDb) -> MinedBases {
         self.mine_context(&MiningContext::with_engine_par(
             db,
@@ -192,12 +180,32 @@ impl RuleMiner {
         ))
     }
 
-    /// Runs the pipeline on an existing context (keeping that context's
-    /// engine).
+    /// Runs the fused pipeline on an existing context (keeping that
+    /// context's engine).
     pub fn mine_context(&self, ctx: &MiningContext) -> MinedBases {
-        if self.pipeline == PipelineKind::Fused {
-            return fused::mine_bases(self, ctx);
-        }
+        fused::mine_bases(self, ctx)
+    }
+
+    /// The staged reference composition, retained as the test oracle for
+    /// [`RuleMiner::mine_context`] (like `kernels::scalar` for the wide
+    /// kernels): mine `FC`, rebuild the Hasse diagram pairwise, re-mine
+    /// `F` with Apriori, then build each basis from those products. It
+    /// answers the same questions with more engine calls — nothing in the
+    /// library selects it.
+    ///
+    /// ```
+    /// use rulebases::{MinSupport, MiningContext, RuleMiner};
+    /// use rulebases_dataset::paper_example;
+    ///
+    /// let miner = RuleMiner::new(MinSupport::Fraction(0.4)).min_confidence(0.5);
+    /// let bases = miner.mine(paper_example());
+    /// let oracle = miner.staged_oracle(&MiningContext::new(paper_example()));
+    /// assert_eq!(bases.dg.len(), 3);
+    /// assert_eq!(bases.lattice.n_edges(), 7);
+    /// assert_eq!(bases.dg.rules(), oracle.dg.rules());
+    /// assert_eq!(bases.lux_reduced.rules(), oracle.lux_reduced.rules());
+    /// ```
+    pub fn staged_oracle(&self, ctx: &MiningContext) -> MinedBases {
         let frequent = Apriori::new()
             .parallelism(self.parallelism)
             .mine(ctx, self.min_support);
@@ -224,11 +232,10 @@ impl RuleMiner {
             min_support: self.min_support,
             min_confidence: self.min_confidence,
             include_empty_antecedent: self.include_empty_antecedent,
-            pipeline: PipelineKind::Staged,
+            minimal_generators: vec![Vec::new(); lattice.n_nodes()],
             frequent,
             closed,
             lattice,
-            minimal_generators: None,
             dg,
             lux_full,
             lux_reduced,
@@ -249,20 +256,18 @@ pub struct MinedBases {
     pub min_confidence: f64,
     /// Whether empty-antecedent rules are reported.
     pub include_empty_antecedent: bool,
-    /// Which pipeline produced this bundle.
-    pub pipeline: PipelineKind,
-    /// All frequent itemsets (mined by Apriori on the staged path,
-    /// derived from `FC` on the fused path — identical either way).
+    /// All frequent itemsets, derived from `FC` by the generating-set
+    /// property (re-mined by Apriori in [`RuleMiner::staged_oracle`]).
     pub frequent: FrequentItemsets,
     /// The frequent closed itemsets `FC`.
     pub closed: ClosedItemsets,
     /// The iceberg lattice over `FC`.
     pub lattice: IcebergLattice,
     /// Minimal-generator tags per lattice node (aligned with
-    /// [`IcebergLattice`] node order), collected on the fly by the fused
-    /// pipeline's levelwise traversals; `None` on the staged path, and
-    /// empty per node under CHARM (its IT-tree carries no generators).
-    pub minimal_generators: Option<Vec<Vec<Itemset>>>,
+    /// [`IcebergLattice`] node order), collected on the fly by the
+    /// levelwise traversals; empty per node under CHARM (its IT-tree
+    /// carries no generators) and from [`RuleMiner::staged_oracle`].
+    pub minimal_generators: Vec<Vec<Itemset>>,
     /// The Duquenne-Guigues basis.
     pub dg: DuquenneGuiguesBasis,
     /// The full Luxenburger basis at `min_confidence`.
@@ -320,8 +325,6 @@ impl MinedBases {
     pub fn report(&self, dataset: &str) -> BasisReport {
         let n_exact = count_exact_rules(&self.frequent, &self.closed);
         let n_all = count_all_rules(&self.frequent, self.min_confidence);
-        // Exact rules always pass the confidence filter.
-        let n_exact_in_all = count_exact_rules(&self.frequent, &self.closed) as usize;
         let min_support = match self.min_support {
             MinSupport::Fraction(f) => f,
             MinSupport::Count(c) => c as f64 / self.n_objects.max(1) as f64,
@@ -335,7 +338,8 @@ impl MinedBases {
             n_pseudo_closed: self.dg.len(),
             n_exact_rules: n_exact,
             dg_size: self.dg.len(),
-            n_approx_rules: n_all - n_exact_in_all,
+            // Exact rules always pass the confidence filter.
+            n_approx_rules: n_all - n_exact as usize,
             lux_full_size: self.lux_full.len(),
             lux_reduced_size: self.luxenburger_reduced_rules().len(),
         }

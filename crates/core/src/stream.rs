@@ -1,6 +1,6 @@
 //! Streaming rule-base maintenance.
 //!
-//! The batch pipelines answer one question about one frozen database.
+//! The batch pipeline answers one question about one frozen database.
 //! [`StreamingMiner`] keeps the answer *live* while the database grows:
 //! it owns an appendable [`TransactionDb`], a delta-aware engine (see
 //! [`rulebases_dataset::engine::delta`]), and the full incremental closed
@@ -32,9 +32,9 @@
 //!
 //! The returned [`BasesDelta`] says exactly what changed: closed sets
 //! that entered or left the iceberg, and rules added to / removed from /
-//! restated in each basis. The batch pipelines are the degenerate case —
+//! restated in each basis. The batch pipeline is the degenerate case —
 //! pushing the whole database as one batch yields bit-for-bit the
-//! [`PipelineKind::Fused`] result (the
+//! [`RuleMiner::mine`] result (the
 //! equivalence is property-tested in `tests/streaming.rs` over every
 //! engine backend and batch-size schedule, and the per-batch deltas are
 //! property-tested against the snapshot-diff oracle).
@@ -92,7 +92,7 @@
 
 use crate::approx::LuxenburgerBasis;
 use crate::exact::DuquenneGuiguesBasis;
-use crate::fused::{derive_frequent, min_count_for, PipelineKind};
+use crate::fused::{derive_frequent, min_count_for};
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
 use rulebases_dataset::{
@@ -919,11 +919,10 @@ impl StreamingMiner {
             min_support: self.config.min_support_config(),
             min_confidence: self.config.min_confidence_config(),
             include_empty_antecedent: self.config.include_empty_antecedent_config(),
-            pipeline: PipelineKind::Fused,
             frequent,
             closed,
             lattice,
-            minimal_generators: Some(minimal_generators),
+            minimal_generators,
             dg,
             lux_full,
             lux_reduced,
@@ -931,8 +930,7 @@ impl StreamingMiner {
     }
 
     /// The current bases — the same bundle a one-shot
-    /// [`PipelineKind::Fused`] run over the
-    /// grown database would produce. Materialized from the maintained
+    /// [`RuleMiner::mine`] over the grown database would produce. Materialized from the maintained
     /// state on first call after a batch, then cached (which is why this
     /// takes `&mut self`); [`StreamingMiner::push_batch`] itself never
     /// pays for materialization.
@@ -1124,7 +1122,6 @@ pub(crate) struct SessionWire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::PipelineKind;
     use rulebases_dataset::{paper_example, MinSupport};
 
     fn paper_rows() -> Vec<Vec<u32>> {
@@ -1194,10 +1191,7 @@ mod tests {
         // The degenerate streaming run — everything in one batch from an
         // empty start — is the batch pipeline.
         let miner = RuleMiner::new(MinSupport::Fraction(0.4)).min_confidence(0.5);
-        let fused = miner
-            .clone()
-            .pipeline(PipelineKind::Fused)
-            .mine(paper_example());
+        let fused = miner.mine(paper_example());
         let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
         let delta = stream.push_batch(paper_rows()).unwrap();
         assert_eq!(delta.n_objects, 5);
@@ -1215,10 +1209,7 @@ mod tests {
         let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
         for end in 1..=rows.len() {
             stream.push_batch(vec![rows[end - 1].clone()]).unwrap();
-            let oracle = miner
-                .clone()
-                .pipeline(PipelineKind::Fused)
-                .mine(TransactionDb::from_rows(rows[..end].to_vec()));
+            let oracle = miner.mine(TransactionDb::from_rows(rows[..end].to_vec()));
             assert_same_bases(stream.bases(), &oracle, &format!("prefix {end}"));
             assert_eq!(stream.epoch(), end as u64);
         }
@@ -1235,15 +1226,9 @@ mod tests {
         let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
         let mut seen = 0;
         for chunk in rows.chunks(3) {
-            let before = miner
-                .clone()
-                .pipeline(PipelineKind::Fused)
-                .mine(TransactionDb::from_rows(rows[..seen].to_vec()));
+            let before = miner.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
             seen += chunk.len();
-            let after = miner
-                .clone()
-                .pipeline(PipelineKind::Fused)
-                .mine(TransactionDb::from_rows(rows[..seen].to_vec()));
+            let after = miner.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
             let direct = stream.push_batch(chunk.to_vec()).unwrap();
             let oracle = BasesDelta::between(&before, &after, direct.epoch, chunk.len(), 0);
             assert_delta_eq(&direct, &oracle, &format!("prefix {seen}"));
@@ -1299,9 +1284,7 @@ mod tests {
         // context.
         let mut rows = paper_rows();
         rows.extend((0..5).map(|_| vec![1, 3]));
-        let oracle = miner
-            .pipeline(PipelineKind::Fused)
-            .mine(TransactionDb::from_rows(rows));
+        let oracle = miner.mine(TransactionDb::from_rows(rows));
         assert_same_bases(stream.bases(), &oracle, "after flood");
     }
 

@@ -1,6 +1,6 @@
 //! Incremental Hasse-diagram construction.
 //!
-//! The staged pipeline first materializes all frequent closed itemsets,
+//! A staged composition first materializes all frequent closed itemsets,
 //! then rebuilds the covering relation from scratch with a full pairwise
 //! pass ([`crate::hasse::upper_covers_by_pairs`]). [`IncrementalLattice`]
 //! instead maintains the transitive reduction *while* the closed sets

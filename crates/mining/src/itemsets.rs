@@ -2,6 +2,7 @@
 
 use rulebases_dataset::{Itemset, Support};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Bookkeeping every miner reports alongside its result; the paper's
@@ -277,28 +278,57 @@ impl ClosedItemsets {
     /// every subset of a closed itemset is frequent with the support of its
     /// closure (the generating-set property of Definition 1).
     ///
-    /// Exponential in the size of the largest closed set — meant for tests
-    /// and small/medium contexts; large-scale counting should use a
-    /// frequent miner directly.
+    /// Closed sets are visited in descending support order, and each one's
+    /// subsets are walked top-down along the canonical subset-enumeration
+    /// tree (a child drops one item after the last one its parent
+    /// dropped, so every subset has exactly one tree node). A node already
+    /// present came from an earlier closed superset — hence one with at
+    /// least this support — which also produced every subset below it, so
+    /// the walk skips that whole subtree. Each frequent itemset is thus
+    /// inserted once, with its closure's support.
+    ///
+    /// Exponential in the size of the largest closed set — `F` itself can
+    /// be that large.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a closed itemset has 64 or more items.
     pub fn expand_to_frequent(&self) -> FrequentItemsets {
         let mut out = FrequentItemsets::new(self.min_count, self.n_objects);
-        let mut best: HashMap<Itemset, Support> = HashMap::new();
-        for (closed, support) in self.iter() {
+        let mut order: Vec<&(Itemset, Support)> = self.sets.iter().collect();
+        order.sort_by_key(|(_, support)| std::cmp::Reverse(*support));
+        // Tree nodes as (bitmask over the closed set's items, first item
+        // index the node's children may drop).
+        let mut stack: Vec<(u64, usize)> = Vec::new();
+        for (closed, support) in order {
             assert!(
                 closed.len() < 64,
                 "closed itemset too large to expand ({} items)",
                 closed.len()
             );
-            for sub in closed.proper_subsets() {
-                let entry = best.entry(sub).or_insert(0);
-                *entry = (*entry).max(support);
+            let items = closed.as_slice();
+            stack.push(((1u64 << items.len()) - 1, 0));
+            while let Some((mask, first)) = stack.pop() {
+                // The empty set is not stored (and has no children).
+                if mask == 0 {
+                    continue;
+                }
+                let subset = Itemset::from_sorted(
+                    items
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask >> i & 1 == 1)
+                        .map(|(_, &item)| item)
+                        .collect(),
+                );
+                match out.map.entry(subset) {
+                    Entry::Occupied(_) => continue,
+                    Entry::Vacant(slot) => {
+                        slot.insert(*support);
+                    }
+                }
+                stack.extend((first..items.len()).map(|j| (mask & !(1u64 << j), j + 1)));
             }
-            let entry = best.entry(closed.clone()).or_insert(0);
-            *entry = (*entry).max(support);
-        }
-        best.remove(&Itemset::empty());
-        for (set, support) in best {
-            out.insert(set, support);
         }
         out
     }

@@ -1,6 +1,6 @@
 //! Streaming emission of closed itemsets.
 //!
-//! The staged pipeline mines all closed sets into a [`ClosedItemsets`]
+//! A staged composition mines all closed sets into a [`ClosedItemsets`]
 //! container, then rebuilds the iceberg Hasse diagram from scratch, then
 //! derives the rule bases in a third pass — three traversals over the
 //! same lattice. [`ClosedSink`] decouples *discovery* from *collection*:

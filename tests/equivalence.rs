@@ -8,7 +8,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use rulebases::{MinedBases, PipelineKind, RuleMiner};
+use rulebases::{MinedBases, RuleMiner};
 use rulebases_dataset::{
     EngineKind, Itemset, MinSupport, MiningContext, Parallelism, ShardedEngine, TransactionDb,
 };
@@ -137,16 +137,12 @@ proptest! {
         });
         for kind in grid {
             for algo in ClosedAlgorithm::ALL {
-                let run = |pipeline: PipelineKind| {
-                    let ctx = MiningContext::with_engine_arc(shared.clone(), kind.clone());
-                    RuleMiner::new(MinSupport::Count(min_count))
-                        .min_confidence(minconf)
-                        .algorithm(algo)
-                        .pipeline(pipeline)
-                        .mine_context(&ctx)
-                };
-                let staged = run(PipelineKind::Staged);
-                let fused = run(PipelineKind::Fused);
+                let miner = RuleMiner::new(MinSupport::Count(min_count))
+                    .min_confidence(minconf)
+                    .algorithm(algo);
+                let ctx = || MiningContext::with_engine_arc(shared.clone(), kind.clone());
+                let staged = miner.staged_oracle(&ctx());
+                let fused = miner.mine_context(&ctx());
                 assert_pipelines_agree(&staged, &fused, &format!("{algo} over {kind}"))
                     .map_err(TestCaseError::fail)?;
             }
@@ -264,15 +260,12 @@ fn fused_handles_nonempty_bottom_and_minconf_one() {
     let rows: Vec<Vec<u32>> = (0..12u32).map(|t| vec![t % 3, 3 + t % 2, 9]).collect();
     for minconf in [0.6, 1.0] {
         for algo in ClosedAlgorithm::ALL {
-            let run = |pipeline: PipelineKind| {
-                RuleMiner::new(MinSupport::Count(2))
-                    .min_confidence(minconf)
-                    .algorithm(algo)
-                    .pipeline(pipeline)
-                    .mine(TransactionDb::from_rows(rows.clone()))
-            };
-            let staged = run(PipelineKind::Staged);
-            let fused = run(PipelineKind::Fused);
+            let miner = RuleMiner::new(MinSupport::Count(2))
+                .min_confidence(minconf)
+                .algorithm(algo);
+            let staged =
+                miner.staged_oracle(&MiningContext::new(TransactionDb::from_rows(rows.clone())));
+            let fused = miner.mine(TransactionDb::from_rows(rows.clone()));
             assert_pipelines_agree(&staged, &fused, &format!("{algo} at minconf {minconf}"))
                 .unwrap();
             // The bottom is {9}, and the DG basis starts from ∅.

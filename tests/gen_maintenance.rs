@@ -18,7 +18,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rulebases::lattice::IncrementalLattice;
-use rulebases::{GenStats, PipelineKind, RuleMiner, Window};
+use rulebases::{GenStats, RuleMiner, Window};
 use rulebases_dataset::{EngineKind, Itemset, MinSupport, TransactionDb};
 use std::collections::VecDeque;
 
@@ -88,12 +88,10 @@ proptest! {
 
             // The maintained tags must be exactly what a from-scratch
             // fused mine proves for the same rows, class by class.
-            let fresh = miner
-                .pipeline(PipelineKind::Fused)
-                .mine(TransactionDb::from_rows(window_rows));
+            let fresh = miner.mine(TransactionDb::from_rows(window_rows));
             let streamed = stream.bases();
-            let stags = streamed.minimal_generators.as_ref().unwrap();
-            let ftags = fresh.minimal_generators.as_ref().unwrap();
+            let stags = &streamed.minimal_generators;
+            let ftags = &fresh.minimal_generators;
             prop_assert_eq!(streamed.lattice.n_nodes(), fresh.lattice.n_nodes());
             prop_assert_eq!(stags.len(), streamed.lattice.n_nodes());
             for (node, tags) in stags.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! bases pipeline at reduced scale, checking the structural invariants
 //! the paper's experiments rely on.
 
-use rulebases::{count_all_rules, count_exact_rules, MinSupport, PipelineKind, RuleMiner};
+use rulebases::{count_all_rules, count_exact_rules, MinSupport, RuleMiner};
 use rulebases_bench::{Scale, StandIn};
 use rulebases_dataset::MiningContext;
 use rulebases_lattice::hasse::verify_covers;
@@ -127,17 +127,13 @@ fn closed_supports_match_context_on_every_dataset() {
 
 #[test]
 fn fused_pipeline_matches_staged_on_every_dataset() {
-    // The one-pass fused pipeline and the staged oracle agree on every
-    // stand-in, at realistic (non-toy) lattice sizes.
+    // RuleMiner's one-pass fused pipeline and the staged oracle agree on
+    // every stand-in, at realistic (non-toy) lattice sizes.
     for dataset in StandIn::ALL {
-        let run = |pipeline: PipelineKind| {
-            RuleMiner::new(MinSupport::Fraction(dataset.default_minsup()))
-                .min_confidence(0.7)
-                .pipeline(pipeline)
-                .mine(dataset.generate(Scale::Test))
-        };
-        let staged = run(PipelineKind::Staged);
-        let fused = run(PipelineKind::Fused);
+        let miner =
+            RuleMiner::new(MinSupport::Fraction(dataset.default_minsup())).min_confidence(0.7);
+        let staged = miner.staged_oracle(&MiningContext::new(dataset.generate(Scale::Test)));
+        let fused = miner.mine(dataset.generate(Scale::Test));
         assert_eq!(
             staged.closed.clone().into_sorted_vec(),
             fused.closed.clone().into_sorted_vec(),
@@ -180,16 +176,13 @@ fn fused_pipeline_performs_fewer_engine_calls_on_census() {
     // neither re-mines the frequent itemsets from the database nor
     // rebuilds the lattice after mining.
     let dataset = StandIn::C20D10K;
-    let tally = |pipeline: PipelineKind| {
-        let ctx = MiningContext::new(dataset.generate(Scale::Test));
-        let _ = RuleMiner::new(MinSupport::Fraction(dataset.default_minsup()))
-            .min_confidence(0.7)
-            .pipeline(pipeline)
-            .mine_context(&ctx);
-        ctx.closure_cache_stats()
-    };
-    let staged = tally(PipelineKind::Staged);
-    let fused = tally(PipelineKind::Fused);
+    let miner = RuleMiner::new(MinSupport::Fraction(dataset.default_minsup())).min_confidence(0.7);
+    let staged_ctx = MiningContext::new(dataset.generate(Scale::Test));
+    let _ = miner.staged_oracle(&staged_ctx);
+    let staged = staged_ctx.closure_cache_stats();
+    let fused_ctx = MiningContext::new(dataset.generate(Scale::Test));
+    let _ = miner.mine_context(&fused_ctx);
+    let fused = fused_ctx.closure_cache_stats();
     assert!(
         fused.engine_calls() < staged.engine_calls(),
         "fused {} !< staged {}",

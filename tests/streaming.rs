@@ -15,7 +15,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rulebases::stream::{BasesDelta, RuleSetDelta};
-use rulebases::{MinedBases, PipelineKind, RuleMiner};
+use rulebases::{MinedBases, RuleMiner};
 use rulebases_dataset::{EngineKind, MinSupport, MiningContext, TransactionDb};
 
 /// The batch schedules the issue calls out: row-at-a-time, a ragged
@@ -138,13 +138,12 @@ proptest! {
             let miner = RuleMiner::new(minsup)
                 .min_confidence(minconf)
                 .engine(kind.clone());
-            let fused = miner.clone().pipeline(PipelineKind::Fused);
             let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
             let mut seen = 0;
             for chunk in rows.chunks(batch.min(rows.len())) {
-                let before = fused.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
+                let before = miner.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
                 seen += chunk.len();
-                let after = fused.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
+                let after = miner.mine(TransactionDb::from_rows(rows[..seen].to_vec()));
                 let direct = stream.push_batch(chunk.to_vec()).unwrap();
                 let oracle = BasesDelta::between(&before, &after, direct.epoch, chunk.len(), 0);
                 assert_delta_matches_oracle(
@@ -179,10 +178,7 @@ proptest! {
             let miner = RuleMiner::new(MinSupport::Count(min_count))
                 .min_confidence(minconf)
                 .engine(kind.clone());
-            let oracle = miner
-                .clone()
-                .pipeline(PipelineKind::Fused)
-                .mine(TransactionDb::from_rows(rows.clone()));
+            let oracle = miner.mine(TransactionDb::from_rows(rows.clone()));
             let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
             for chunk in rows.chunks(batch.min(rows.len())) {
                 stream.push_batch(chunk.to_vec()).unwrap();
@@ -207,10 +203,7 @@ proptest! {
         // final context — including the rescaled min_count.
         let batch = BATCH_SIZES[batch_idx];
         let miner = RuleMiner::new(MinSupport::Fraction(0.3)).min_confidence(0.6);
-        let oracle = miner
-            .clone()
-            .pipeline(PipelineKind::Fused)
-            .mine(TransactionDb::from_rows(rows.clone()));
+        let oracle = miner.mine(TransactionDb::from_rows(rows.clone()));
         let mut stream = miner.streaming(TransactionDb::from_rows(vec![]));
         for chunk in rows.chunks(batch.min(rows.len())) {
             stream.push_batch(chunk.to_vec()).unwrap();
@@ -240,10 +233,7 @@ fn streaming_uses_strictly_fewer_engine_calls_than_remining() {
 
         // The alternative: re-mine the grown prefix from scratch.
         let ctx = MiningContext::new(TransactionDb::from_rows(rows[..seen].to_vec()));
-        let remined = miner
-            .clone()
-            .pipeline(PipelineKind::Fused)
-            .mine_context(&ctx);
+        let remined = miner.mine_context(&ctx);
         remining_calls += ctx.closure_cache_stats().engine_calls();
 
         // Same answer at every batch boundary.

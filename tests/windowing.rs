@@ -16,7 +16,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rulebases::{MinedBases, PipelineKind, RuleMiner, Window};
+use rulebases::{MinedBases, RuleMiner, Window};
 use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
 
 /// The batch schedules the streaming suite pins: row-at-a-time, a ragged
@@ -89,7 +89,6 @@ proptest! {
             let miner = RuleMiner::new(minsup)
                 .min_confidence(minconf)
                 .engine(kind.clone());
-            let fused = miner.clone().pipeline(PipelineKind::Fused);
             let mut stream = miner
                 .streaming(TransactionDb::from_rows(vec![]))
                 .window(Window::Sliding(window));
@@ -103,7 +102,7 @@ proptest! {
                 prop_assert_eq!(delta.n_objects, in_window);
                 prop_assert_eq!(stream.n_objects(), in_window);
                 let tail = rows[seen - in_window..seen].to_vec();
-                let fresh = fused.mine(TransactionDb::from_rows(tail));
+                let fresh = miner.mine(TransactionDb::from_rows(tail));
                 assert_windowed_matches_fresh(
                     stream.bases(),
                     &fresh,
@@ -127,7 +126,6 @@ proptest! {
         // equal a fresh mine of the newest k non-empty batches' rows
         // (empty pushes neither age the window nor advance the epoch).
         let miner = RuleMiner::new(MinSupport::Count(min_count)).min_confidence(0.5);
-        let fused = miner.clone().pipeline(PipelineKind::Fused);
         let mut stream = miner
             .streaming(TransactionDb::from_rows(vec![]))
             .window(Window::Ttl(keep));
@@ -148,7 +146,7 @@ proptest! {
             prop_assert_eq!(delta.expired, expired);
             let window_rows: Vec<Vec<u32>> = kept.iter().flatten().cloned().collect();
             prop_assert_eq!(stream.n_objects(), window_rows.len());
-            let fresh = fused.mine(TransactionDb::from_rows(window_rows));
+            let fresh = miner.mine(TransactionDb::from_rows(window_rows));
             assert_windowed_matches_fresh(stream.bases(), &fresh, &format!("keep {keep}"));
         }
     }
@@ -210,9 +208,7 @@ fn batch_larger_than_window_keeps_its_tail() {
     assert_eq!(delta.appended, 16);
     assert_eq!(delta.expired, 12);
     assert_eq!(stream.n_objects(), 4);
-    let fresh = miner
-        .pipeline(PipelineKind::Fused)
-        .mine(TransactionDb::from_rows(rows[12..].to_vec()));
+    let fresh = miner.mine(TransactionDb::from_rows(rows[12..].to_vec()));
     assert_windowed_matches_fresh(stream.bases(), &fresh, "oversized batch");
 }
 
@@ -233,8 +229,6 @@ fn oversized_seed_trims_on_first_push() {
     assert_eq!(stream.n_objects(), 8);
     let mut tail = rows[13..].to_vec();
     tail.push(vec![0, 4, 7, 9]);
-    let fresh = miner
-        .pipeline(PipelineKind::Fused)
-        .mine(TransactionDb::from_rows(tail));
+    let fresh = miner.mine(TransactionDb::from_rows(tail));
     assert_windowed_matches_fresh(stream.bases(), &fresh, "oversized seed");
 }
