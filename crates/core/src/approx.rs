@@ -77,40 +77,6 @@ impl LuxenburgerBasis {
         }
     }
 
-    /// Builds the **full** basis from an already-constructed iceberg
-    /// lattice: reachability along Hasse edges *is* the strict subset
-    /// order over `FC`, so walking the transitive closure enumerates
-    /// exactly the comparable pairs [`LuxenburgerBasis::full`] finds by
-    /// pairwise subset tests — without re-deriving the order the lattice
-    /// already holds. This is the fused pipeline's path to the full
-    /// basis.
-    pub fn full_from_lattice(
-        lattice: &IcebergLattice,
-        min_confidence: f64,
-        include_empty_antecedent: bool,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&min_confidence));
-        let mut rules = Vec::new();
-        for (i, j) in lattice.comparable_pairs() {
-            let (c1, s1) = lattice.node(i);
-            let (c2, s2) = lattice.node(j);
-            if c1.is_empty() && !include_empty_antecedent {
-                continue;
-            }
-            debug_assert!(s2 < s1);
-            if (s2 as f64) < min_confidence * s1 as f64 {
-                continue;
-            }
-            rules.push(Rule::new(c1.clone(), c2.difference(c1), s2, s1));
-        }
-        rules.sort();
-        LuxenburgerBasis {
-            rules,
-            min_confidence,
-            reduced: false,
-        }
-    }
-
     /// Builds the **transitive reduction**: one rule per Hasse edge of the
     /// iceberg lattice with confidence ≥ `min_confidence`.
     pub fn reduced(
@@ -232,23 +198,6 @@ mod tests {
         assert!(reduced
             .rules()
             .contains(&Rule::new(set(&[1, 3]), set(&[2, 5]), 2, 3)));
-    }
-
-    #[test]
-    fn full_from_lattice_matches_pairwise_full() {
-        let (_, _, fc, lattice) = setup();
-        for conf in [0.0, 0.4, 0.7, 1.0] {
-            for include_empty in [false, true] {
-                let by_pairs = LuxenburgerBasis::full(&fc, conf, include_empty);
-                let by_lattice = LuxenburgerBasis::full_from_lattice(&lattice, conf, include_empty);
-                assert_eq!(
-                    by_pairs.rules(),
-                    by_lattice.rules(),
-                    "conf={conf} include_empty={include_empty}"
-                );
-                assert!(!by_lattice.reduced);
-            }
-        }
     }
 
     #[test]

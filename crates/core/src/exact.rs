@@ -80,10 +80,9 @@ impl DuquenneGuiguesBasis {
 
     /// Builds the basis from an already-computed list of frequent
     /// pseudo-closed itemsets (canonical order) — the constructor the
-    /// streaming maintenance uses, where `FP` comes straight off the
-    /// maintained lattice family
-    /// ([`pseudo_closed_of_family`](rulebases_lattice::pseudo_closed_of_family))
-    /// instead of a frequent-itemset walk.
+    /// maintained bases read out with: they keep `FP` between batches
+    /// (recomputed by [`frequent_pseudo_closed`] only when the iceberg
+    /// family moves), so the read-out need not walk `F` again.
     pub fn from_pseudo_closed(pseudo_closed: Vec<PseudoClosed>, n_items: usize) -> Self {
         let mut rules = Vec::with_capacity(pseudo_closed.len());
         let mut implications = ImplicationSet::new(n_items);

@@ -12,33 +12,35 @@
 //!   a [`ClosedSink`] into an [`IncrementalLattice`] that maintains the
 //!   covering relation (and the minimal-generator tags the levelwise
 //!   miners carry for free) insertion by insertion — no post-hoc rebuild;
-//! * the frequent itemsets are *derived* from `FC` by the generating-set
-//!   property of the paper's Definition 1 (every frequent itemset is a
-//!   subset of a frequent closed itemset and takes its closure's
-//!   support) instead of re-mined — no second levelwise database scan;
-//! * both Luxenburger bases read straight off the finished lattice (the
-//!   reduced basis is its edge set; the full basis its reachability),
-//!   and the Duquenne-Guigues basis is built from the derived frequent
-//!   sets and the already-indexed `FC`.
+//! * the finished lattice seeds the same maintained-bases state a
+//!   [`StreamingMiner`] patches per batch, and the bundle is read out of
+//!   it by the code [`StreamingMiner::bases`] uses: the frequent itemsets
+//!   are *derived* from `FC` by the generating-set property of the
+//!   paper's Definition 1 (every frequent itemset is a subset of a
+//!   frequent closed itemset and takes its closure's support) instead of
+//!   re-mined, the Duquenne-Guigues basis is built from them, and both
+//!   Luxenburger bases come from the maintained per-pair rule maps.
 //!
-//! The staged composition survives only as the reference
-//! [`RuleMiner::staged_oracle`]. The two are property-tested equal
-//! (closed sets, Hasse edges, `F`, all three bases) across every
-//! algorithm and engine backend in `tests/equivalence.rs`; the
-//! `bases-fused` bench ablates their engine traffic via
+//! Batch mining is thus literally the seed of a streaming session: one
+//! construction per basis serves both. The staged composition survives
+//! only as the reference [`RuleMiner::staged_oracle`]. The two are
+//! property-tested equal (closed sets, Hasse edges, `F`, all three bases)
+//! across every algorithm and engine backend in `tests/equivalence.rs`;
+//! the `bases-fused` bench ablates their engine traffic via
 //! [`MiningContext::closure_cache_stats`] — the fused path answers the
 //! same questions with strictly fewer engine calls.
 //!
 //! [`ClosedSink`]: rulebases_mining::ClosedSink
 //! [`IncrementalLattice`]: rulebases_lattice::IncrementalLattice
 //! [`IcebergLattice::from_closed`]: rulebases_lattice::IcebergLattice::from_closed
+//! [`StreamingMiner`]: crate::stream::StreamingMiner
+//! [`StreamingMiner::bases`]: crate::stream::StreamingMiner::bases
 
-use crate::approx::LuxenburgerBasis;
-use crate::exact::DuquenneGuiguesBasis;
 use crate::miner::{MinedBases, RuleMiner};
-use rulebases_dataset::{Itemset, MinSupport, MiningContext, Support};
+use crate::stream::MaintainedBases;
+use rulebases_dataset::{Itemset, MiningContext, Support};
 use rulebases_lattice::IncrementalLattice;
-use rulebases_mining::{Apriori, ClosedItemsets, ClosedSink, FrequentItemsets};
+use rulebases_mining::ClosedSink;
 
 /// The sink the fused traversal mines into: every emission goes straight
 /// into the incremental Hasse builder (which also dedups re-emissions and
@@ -54,95 +56,10 @@ impl ClosedSink for LatticeSink {
     }
 }
 
-/// Derives the frequent itemsets from the frequent closed itemsets — the
-/// generating-set property: `F = { X ⊆ C : C ∈ FC }` with
-/// `supp(X) = supp(h(X)) = max { supp(C) : X ⊆ C ∈ FC }`.
-///
-/// Exponential in the widest closed set, exactly like materializing `F`
-/// by mining is; the (practically unreachable) Apriori fallback keeps
-/// itemsets wider than the subset-enumeration limit correct rather than
-/// fast.
-pub(crate) fn derive_frequent(
-    closed: &ClosedItemsets,
-    miner: &RuleMiner,
-    ctx: &MiningContext,
-) -> FrequentItemsets {
-    if closed.iter().all(|(s, _)| s.len() < 64) {
-        closed.expand_to_frequent()
-    } else {
-        Apriori::new()
-            .parallelism(miner.parallelism_config())
-            .mine(ctx, miner.min_support_config())
-    }
-}
-
-/// Assembles a [`MinedBases`] bundle from a finished lattice (+ its
-/// generator tags): `F` derived from `FC` by the generating-set property,
-/// the DG basis from the derived sets, both Luxenburger bases read off
-/// the lattice. The common tail of the fused pipeline and of every
-/// [`StreamingMiner`](crate::stream::StreamingMiner) batch — the batch
-/// pipeline is literally the one-snapshot case of the streaming one.
-pub(crate) fn assemble_bases(
-    miner: &RuleMiner,
-    ctx: &MiningContext,
-    lattice: rulebases_lattice::IcebergLattice,
-    minimal_generators: Vec<Vec<Itemset>>,
-    min_count: Support,
-) -> MinedBases {
-    let n = ctx.n_objects();
-    let closed = ClosedItemsets::from_pairs(
-        (0..lattice.n_nodes())
-            .map(|i| {
-                let (s, sup) = lattice.node(i);
-                (s.clone(), sup)
-            })
-            .collect(),
-        min_count,
-        n,
-    );
-
-    let frequent = derive_frequent(&closed, miner, ctx);
-    let dg = DuquenneGuiguesBasis::build(&frequent, &closed, ctx.n_items());
-    let lux_full = LuxenburgerBasis::full_from_lattice(
-        &lattice,
-        miner.min_confidence_config(),
-        miner.include_empty_antecedent_config(),
-    );
-    // Derivation paths may start at the bottom, so the reduced basis
-    // always keeps bottom edges internally; reporting filters them.
-    let lux_reduced = LuxenburgerBasis::reduced(&lattice, miner.min_confidence_config(), true);
-
-    MinedBases {
-        min_count,
-        n_objects: n,
-        min_support: miner.min_support_config(),
-        min_confidence: miner.min_confidence_config(),
-        include_empty_antecedent: miner.include_empty_antecedent_config(),
-        frequent,
-        closed,
-        lattice,
-        minimal_generators,
-        dg,
-        lux_full,
-        lux_reduced,
-    }
-}
-
-/// The absolute support threshold for an `n`-object context, matching the
-/// miners' empty-context convention (threshold pinned to 1).
-pub(crate) fn min_count_for(minsup: MinSupport, n: usize) -> Support {
-    if n == 0 {
-        1
-    } else {
-        minsup.to_count(n)
-    }
-}
-
 /// Runs the fused pipeline for `miner` over `ctx`: one mining traversal
-/// feeding the incremental lattice, then every product read off it.
+/// feeding the incremental lattice, then the maintained-bases seed and
+/// its read-out.
 pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
-    let min_count = min_count_for(miner.min_support_config(), ctx.n_objects());
-
     let mut sink = LatticeSink::default();
     let stats = miner.algorithm_config().mine_sink_par(
         ctx.engine(),
@@ -150,8 +67,8 @@ pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
         miner.parallelism_config(),
         &mut sink,
     );
-    let (lattice, minimal_generators) = sink.lattice.finish();
-    let mut bases = assemble_bases(miner, ctx, lattice, minimal_generators, min_count);
+    let (state, sets) = MaintainedBases::seed(miner, ctx, &sink.lattice);
+    let mut bases = state.materialize(miner, ctx, &sink.lattice, sets);
     bases.closed.stats = stats;
     bases
 }
@@ -159,7 +76,7 @@ pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rulebases_dataset::paper_example;
+    use rulebases_dataset::{paper_example, MinSupport};
     use rulebases_mining::ClosedAlgorithm;
 
     #[test]

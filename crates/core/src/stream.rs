@@ -25,19 +25,25 @@
 //! 4. the maintained bases are **patched from that touched-class set**:
 //!    only a rule whose antecedent/consequent closure classes were
 //!    touched (or crossed the rescaled support threshold) can move, so
-//!    the Duquenne-Guigues and both Luxenburger bases update — and the
-//!    returned [`BasesDelta`] is computed — without materializing and
-//!    diffing full rule snapshots. (The snapshot-diff formulation
+//!    both Luxenburger bases update — and the returned [`BasesDelta`] is
+//!    computed — without materializing and diffing full rule snapshots.
+//!    The Duquenne-Guigues premises only restate supports unless the
+//!    iceberg family moved; then they are recomputed by
+//!    [`frequent_pseudo_closed`] from `F`, derived from the family by
+//!    the generating-set property. (The snapshot-diff formulation
 //!    survives as [`BasesDelta::between`], the test oracle.)
 //!
 //! The returned [`BasesDelta`] says exactly what changed: closed sets
 //! that entered or left the iceberg, and rules added to / removed from /
-//! restated in each basis. The batch pipeline is the degenerate case —
-//! pushing the whole database as one batch yields bit-for-bit the
-//! [`RuleMiner::mine`] result (the
-//! equivalence is property-tested in `tests/streaming.rs` over every
-//! engine backend and batch-size schedule, and the per-batch deltas are
-//! property-tested against the snapshot-diff oracle).
+//! restated in each basis. The maintained state is also where batch
+//! mining gets its bases: [`RuleMiner::mine`] seeds it from the mined
+//! lattice and reads the bundle out with the code
+//! [`StreamingMiner::bases`] uses, so pushing the whole database as one
+//! batch yields bit-for-bit the [`RuleMiner::mine`] result. Both are
+//! property-tested in `tests/streaming.rs` against a fresh mine *and*
+//! the independent [`RuleMiner::staged_oracle`] over every engine
+//! backend and batch-size schedule, and the per-batch deltas against
+//! the snapshot-diff oracle.
 //!
 //! # Windows
 //!
@@ -58,7 +64,8 @@
 //! windowed state after every push equals a fresh mine of exactly the
 //! window's rows — property-tested in `tests/windowing.rs` over every
 //! backend — and no layer ever re-mines or queries the support engine
-//! during maintenance.
+//! during maintenance while every iceberg class has fewer than 64 items
+//! (past that, deriving `F` for the DG falls back to Apriori).
 //!
 //! [`TxDelta::Expire`]: rulebases_dataset::TxDelta::Expire
 //! [`IncrementalLattice::remove_object_delta`]: rulebases_lattice::IncrementalLattice::remove_object_delta
@@ -92,16 +99,16 @@
 
 use crate::approx::LuxenburgerBasis;
 use crate::exact::DuquenneGuiguesBasis;
-use crate::fused::{derive_frequent, min_count_for};
 use crate::miner::{MinedBases, RuleMiner};
 use crate::rule::Rule;
 use rulebases_dataset::{
-    DatasetError, DeltaError, EngineKind, Itemset, MiningContext, Support, TransactionDb, TxDelta,
+    DatasetError, DeltaError, EngineKind, Itemset, MinSupport, MiningContext, Support,
+    TransactionDb, TxDelta,
 };
 use rulebases_lattice::{
-    pseudo_closed_of_family, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
+    frequent_pseudo_closed, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
 };
-use rulebases_mining::{ClosedAlgorithm, ClosedItemsets};
+use rulebases_mining::{Apriori, ClosedAlgorithm, ClosedItemsets, FrequentItemsets};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -330,13 +337,15 @@ impl BasesDelta {
 /// canonical sorted rule list.
 type RuleKey = (Itemset, Itemset);
 
-/// The incrementally maintained products of a streaming session: iceberg
+/// The maintained products every bases bundle is read out of: iceberg
 /// membership per lattice node, the two Luxenburger rule maps, and the
-/// Duquenne-Guigues premises. [`StreamingMiner::push_batch`] patches this
-/// in place from each batch's [`LatticeDelta`]; materializing a
-/// [`MinedBases`] bundle just reads it out.
+/// Duquenne-Guigues premises. [`RuleMiner::mine`] seeds one from its
+/// mined lattice and reads the bundle out at once; a streaming session
+/// seeds one likewise, [`StreamingMiner::push_batch`] patches it in place
+/// from each batch's [`LatticeDelta`], and [`StreamingMiner::bases`]
+/// reads it out.
 #[derive(Debug, Default)]
-struct MaintainedBases {
+pub(crate) struct MaintainedBases {
     /// Absolute support threshold at the current row count.
     min_count: Support,
     /// `in_iceberg[id]` ⇔ lattice node `id` has `support ≥ min_count`.
@@ -447,11 +456,50 @@ fn dg_rule(p: &PseudoClosed) -> Rule {
     )
 }
 
+/// The absolute support threshold for an `n`-object context, matching the
+/// miners' empty-context convention (threshold pinned to 1).
+fn min_count_for(minsup: MinSupport, n: usize) -> Support {
+    if n == 0 {
+        1
+    } else {
+        minsup.to_count(n)
+    }
+}
+
+/// Derives the frequent itemsets from the frequent closed itemsets — the
+/// generating-set property: `F = { X ⊆ C : C ∈ FC }` with
+/// `supp(X) = supp(h(X)) = max { supp(C) : X ⊆ C ∈ FC }`.
+///
+/// Exponential in the widest closed set, exactly like materializing `F`
+/// by mining is; the (practically unreachable) Apriori fallback keeps
+/// itemsets wider than the subset-enumeration limit correct rather than
+/// fast — and is the one place base maintenance queries the engine.
+fn derive_frequent(
+    closed: &ClosedItemsets,
+    config: &RuleMiner,
+    ctx: &MiningContext,
+) -> FrequentItemsets {
+    if closed.iter().all(|(s, _)| s.len() < 64) {
+        closed.expand_to_frequent()
+    } else {
+        Apriori::new()
+            .parallelism(config.parallelism_config())
+            .mine(ctx, config.min_support_config())
+    }
+}
+
 impl MaintainedBases {
-    /// Rebuilds the whole maintained state from scratch against the
-    /// current lattice — the seed-time construction (per-batch updates
-    /// go through [`StreamingMiner::patch_bases`] instead).
-    fn rebuild(config: &RuleMiner, ctx: &MiningContext, lattice: &IncrementalLattice) -> Self {
+    /// Builds the whole maintained state from scratch against `lattice`
+    /// — the construction behind [`RuleMiner::mine`] and every session
+    /// seed (per-batch updates go through [`StreamingMiner::patch_bases`]
+    /// instead). Also returns the iceberg family and the `F` derived from
+    /// it for the DG, so a caller reading the bundle out right away
+    /// derives `F` once.
+    pub(crate) fn seed(
+        config: &RuleMiner,
+        ctx: &MiningContext,
+        lattice: &IncrementalLattice,
+    ) -> (Self, (ClosedItemsets, FrequentItemsets)) {
         let minconf = config.min_confidence_config();
         let include_empty = config.include_empty_antecedent_config();
         let min_count = min_count_for(config.min_support_config(), ctx.n_objects());
@@ -464,6 +512,9 @@ impl MaintainedBases {
             in_iceberg,
             ..MaintainedBases::default()
         };
+        // The DG first: its pass over `F` is the seed's memory peak, and
+        // the rule maps need not be resident during it.
+        let sets = state.rebuild_dg(config, ctx, lattice);
         for i in 0..n {
             for &j in lattice.upper_covers(i) {
                 if let Some(rule) = reduced_rule(lattice, &state.in_iceberg, minconf, i, j) {
@@ -478,22 +529,42 @@ impl MaintainedBases {
                 }
             }
         }
-        state.rebuild_dg(ctx.n_items(), lattice);
-        state
+        (state, sets)
     }
 
-    /// Recomputes the frequent pseudo-closed sets from the maintained
-    /// iceberg family (no frequent-itemset walk — see
-    /// [`pseudo_closed_of_family`]).
-    fn rebuild_dg(&mut self, n_items: usize, lattice: &IncrementalLattice) {
-        let family: Vec<(Itemset, Support)> = (0..lattice.n_nodes())
-            .filter(|&i| self.in_iceberg[i])
-            .map(|i| {
-                let (set, support) = lattice.node(i);
-                (set.clone(), support)
-            })
-            .collect();
-        self.dg = pseudo_closed_of_family(&family, n_items);
+    /// The iceberg family as `FC` at the maintained threshold, and `F`
+    /// derived from it.
+    fn iceberg_sets(
+        &self,
+        config: &RuleMiner,
+        ctx: &MiningContext,
+        lattice: &IncrementalLattice,
+    ) -> (ClosedItemsets, FrequentItemsets) {
+        let closed = ClosedItemsets::from_pairs(
+            (0..lattice.n_nodes())
+                .filter(|&i| self.in_iceberg[i])
+                .map(|i| {
+                    let (set, support) = lattice.node(i);
+                    (set.clone(), support)
+                })
+                .collect(),
+            self.min_count,
+            ctx.n_objects(),
+        );
+        let frequent = derive_frequent(&closed, config, ctx);
+        (closed, frequent)
+    }
+
+    /// Recomputes the frequent pseudo-closed sets from `F`, derived from
+    /// the maintained iceberg family; returns the family and `F`.
+    fn rebuild_dg(
+        &mut self,
+        config: &RuleMiner,
+        ctx: &MiningContext,
+        lattice: &IncrementalLattice,
+    ) -> (ClosedItemsets, FrequentItemsets) {
+        let (closed, frequent) = self.iceberg_sets(config, ctx, lattice);
+        self.dg = frequent_pseudo_closed(&frequent, &closed);
         self.dg_nodes = self
             .dg
             .iter()
@@ -503,7 +574,51 @@ impl MaintainedBases {
                     .expect("pseudo-closure is a lattice node")
             })
             .collect();
+        (closed, frequent)
     }
+
+    /// Reads the maintained state out as a [`MinedBases`] bundle. `sets`
+    /// must be [`MaintainedBases::iceberg_sets`] of this state.
+    pub(crate) fn materialize(
+        &self,
+        config: &RuleMiner,
+        ctx: &MiningContext,
+        lattice: &IncrementalLattice,
+        (closed, frequent): (ClosedItemsets, FrequentItemsets),
+    ) -> MinedBases {
+        let (lattice, minimal_generators) = lattice.snapshot(self.min_count);
+        let dg = DuquenneGuiguesBasis::from_pseudo_closed(self.dg.clone(), ctx.n_items());
+        let lux_full = LuxenburgerBasis::from_sorted_rules(
+            self.lux_full.values().cloned().collect(),
+            config.min_confidence_config(),
+            false,
+        );
+        let lux_reduced = LuxenburgerBasis::from_sorted_rules(
+            self.lux_reduced.values().cloned().collect(),
+            config.min_confidence_config(),
+            true,
+        );
+        MinedBases {
+            min_count: self.min_count,
+            n_objects: ctx.n_objects(),
+            min_support: config.min_support_config(),
+            min_confidence: config.min_confidence_config(),
+            include_empty_antecedent: config.include_empty_antecedent_config(),
+            frequent,
+            closed,
+            lattice,
+            minimal_generators,
+            dg,
+            lux_full,
+            lux_reduced,
+        }
+    }
+}
+
+/// A [`Window::Ttl`] aging ledger holding `rows` retained rows as one
+/// batch (no entry for zero rows: empty batches never age the window).
+fn one_batch_ledger(rows: usize) -> VecDeque<usize> {
+    (rows > 0).then_some(rows).into_iter().collect()
 }
 
 /// A live bases-mining session over a growing database — built with
@@ -541,12 +656,8 @@ impl StreamingMiner {
         for t in 0..db.n_transactions() {
             lattice.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
         }
-        let state = MaintainedBases::rebuild(&config, &ctx, &lattice);
-        let mut batch_sizes = VecDeque::new();
-        if db.n_transactions() > 0 {
-            // The seed ages like one batch under a Ttl policy.
-            batch_sizes.push_back(db.n_transactions());
-        }
+        let (state, _) = MaintainedBases::seed(&config, &ctx, &lattice);
+        let batch_sizes = one_batch_ledger(db.n_transactions());
         StreamingMiner {
             config,
             db,
@@ -570,8 +681,15 @@ impl StreamingMiner {
     }
 
     /// In-place form of [`StreamingMiner::window`] — for sessions
-    /// already embedded somewhere (e.g. a server).
+    /// already embedded somewhere (e.g. a server). Switching to
+    /// [`Window::Ttl`] from another policy ages every row the session
+    /// retains as one batch, as the seed does.
     pub fn set_window(&mut self, window: Window) {
+        if matches!(window, Window::Ttl(_)) && !matches!(self.window, Window::Ttl(_)) {
+            // The ledger is only kept under Ttl; anything it holds now
+            // predates pushes or expiries made under the old policy.
+            self.batch_sizes = one_batch_ledger(self.n_objects());
+        }
         self.window = window;
     }
 
@@ -650,9 +768,10 @@ impl StreamingMiner {
             self.db = shrunk;
         }
         self.maybe_compact();
-        let report = self.patch_bases(&touched, self.db.epoch(), appended, expired);
+        // Drop the stale bundle first: its `F` need not stay resident
+        // while the patch derives a new one for the DG.
         self.cached = None;
-        Ok(report)
+        Ok(self.patch_bases(&touched, self.db.epoch(), appended, expired))
     }
 
     /// How many prefix rows fall out of the window once a push has
@@ -836,7 +955,7 @@ impl StreamingMiner {
         // intents: while no class entered or left, the batch can only
         // restate supports (a pseudo-closed set's support is its closure
         // class's). When the family moved, recompute the premises from
-        // the maintained family and diff the two DG-sized lists.
+        // `F` derived from the family and diff the two DG-sized lists.
         let dg = if entered.is_empty() && left.is_empty() {
             let mut restated = 0;
             for (p, node) in state.dg.iter_mut().zip(&state.dg_nodes) {
@@ -853,7 +972,7 @@ impl StreamingMiner {
             }
         } else {
             let old_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
-            state.rebuild_dg(self.ctx.n_items(), lattice);
+            state.rebuild_dg(&self.config, &self.ctx, lattice);
             let new_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
             // Both lists are DG-sized (the smallest basis), canonically
             // ordered by premise: diffing them IS the delta-sized
@@ -885,58 +1004,22 @@ impl StreamingMiner {
         }
     }
 
-    /// Materializes the maintained state as a [`MinedBases`] bundle.
-    fn materialize(&self) -> MinedBases {
-        let min_count = self.state.min_count;
-        let (lattice, minimal_generators) = self.lattice.snapshot(min_count);
-        let n = self.ctx.n_objects();
-        let closed = ClosedItemsets::from_pairs(
-            (0..lattice.n_nodes())
-                .map(|i| {
-                    let (s, sup) = lattice.node(i);
-                    (s.clone(), sup)
-                })
-                .collect(),
-            min_count,
-            n,
-        );
-        let frequent = derive_frequent(&closed, &self.config, &self.ctx);
-        let dg =
-            DuquenneGuiguesBasis::from_pseudo_closed(self.state.dg.clone(), self.ctx.n_items());
-        let lux_full = LuxenburgerBasis::from_sorted_rules(
-            self.state.lux_full.values().cloned().collect(),
-            self.config.min_confidence_config(),
-            false,
-        );
-        let lux_reduced = LuxenburgerBasis::from_sorted_rules(
-            self.state.lux_reduced.values().cloned().collect(),
-            self.config.min_confidence_config(),
-            true,
-        );
-        MinedBases {
-            min_count,
-            n_objects: n,
-            min_support: self.config.min_support_config(),
-            min_confidence: self.config.min_confidence_config(),
-            include_empty_antecedent: self.config.include_empty_antecedent_config(),
-            frequent,
-            closed,
-            lattice,
-            minimal_generators,
-            dg,
-            lux_full,
-            lux_reduced,
-        }
-    }
-
-    /// The current bases — the same bundle a one-shot
-    /// [`RuleMiner::mine`] over the grown database would produce. Materialized from the maintained
-    /// state on first call after a batch, then cached (which is why this
-    /// takes `&mut self`); [`StreamingMiner::push_batch`] itself never
-    /// pays for materialization.
+    /// The current bases — the same bundle a one-shot [`RuleMiner::mine`]
+    /// over the session's current rows would produce, read out of the
+    /// same maintained state. Materialized on the first call after a
+    /// batch, then cached (which is why this takes `&mut self`);
+    /// [`StreamingMiner::push_batch`] itself never pays for
+    /// materialization.
     pub fn bases(&mut self) -> &MinedBases {
         if self.cached.is_none() {
-            self.cached = Some(self.materialize());
+            let sets = self
+                .state
+                .iceberg_sets(&self.config, &self.ctx, &self.lattice);
+            self.cached =
+                Some(
+                    self.state
+                        .materialize(&self.config, &self.ctx, &self.lattice, sets),
+                );
         }
         self.cached.as_ref().expect("just materialized")
     }
@@ -1041,6 +1124,19 @@ impl StreamingMiner {
                 wire.dg.len(),
                 wire.dg_nodes.len()
             ));
+        }
+        if matches!(wire.window, Window::Ttl(_)) {
+            let ledger = wire
+                .batch_sizes
+                .iter()
+                .try_fold(0usize, |sum, &rows| sum.checked_add(rows));
+            if ledger != Some(wire.db.n_transactions()) {
+                return Err(format!(
+                    "TTL ledger {:?} does not cover the {} retained rows",
+                    wire.batch_sizes,
+                    wire.db.n_transactions()
+                ));
+            }
         }
         if let Some(&bad) = wire
             .dg_nodes

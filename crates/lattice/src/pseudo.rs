@@ -7,17 +7,15 @@
 //! [`frequent_pseudo_closed`] computes the set `FP` directly from this
 //! definition by a fixpoint over the frequent itemsets in size order (a
 //! proper subset is always strictly smaller, so each candidate only needs
-//! the pseudo-closed sets already found). The support-unrestricted stem
-//! base of [`crate::next_closure`] provides an independent second
-//! algorithm; the two are cross-checked in the integration tests.
+//! the pseudo-closed sets already found). It is the one DG algorithm the
+//! bases pipelines run — batch mining and streaming maintenance alike
+//! feed it `F` derived from the iceberg family. The support-unrestricted
+//! stem base of [`crate::next_closure`] is the independent reference; the
+//! two are cross-checked here and in the integration tests.
 
-use crate::closure_op::ClosureOperator;
-use crate::implications::{Implication, ImplicationSet};
-use crate::next_closure::next_closed;
 use rulebases_dataset::{Itemset, Support};
 use rulebases_mining::{ClosedItemsets, FrequentItemsets};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A frequent pseudo-closed itemset with its closure and support.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,100 +86,6 @@ pub fn frequent_pseudo_closed(
             });
         }
     }
-    found
-}
-
-/// The closure operator of the system `FC ∪ {I}`: `φ(X)` is the smallest
-/// family member containing `X`, or the full universe when none does. A
-/// complete frequent-closed family is intersection-closed (the meet of
-/// two frequent closed sets is closed, and at least as frequent), so the
-/// smallest superset is unique — the intersection of all supersets.
-struct FamilyClosure<'a> {
-    sets: &'a [(Itemset, Support)],
-    n_items: usize,
-}
-
-impl ClosureOperator for FamilyClosure<'_> {
-    fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    fn close(&self, set: &Itemset) -> Itemset {
-        let mut acc: Option<Itemset> = None;
-        for (member, _) in self.sets {
-            if set.is_subset_of(member) {
-                acc = Some(match acc {
-                    None => member.clone(),
-                    Some(a) => a.intersection(member),
-                });
-                if acc.as_ref().is_some_and(|a| a.len() == set.len()) {
-                    break; // cannot shrink below the argument
-                }
-            }
-        }
-        acc.unwrap_or_else(|| Itemset::universe(self.n_items))
-    }
-}
-
-/// Computes the frequent pseudo-closed itemsets directly from the
-/// frequent **closed** family — no frequent-itemset materialization.
-///
-/// `family` must be the complete set of frequent closed itemsets of one
-/// context at one threshold (exactly what an iceberg-lattice snapshot
-/// holds), over a universe of `n_items` items. The function runs Ganter's
-/// stem-base walk over the closure system `family ∪ {I}`: the premises it
-/// collects are the pseudo-closed sets of that system, and the frequent
-/// ones — those whose closure is a family member — are precisely the
-/// paper's `FP` (an infrequent pseudo-closed set cannot sit below a
-/// frequent candidate, so the two definitions' saturation conditions
-/// coincide on frequent sets; the agreement with
-/// [`frequent_pseudo_closed`] is pinned in the tests).
-///
-/// Cost scales with `(|FC| + |FP|) · n_items` closure evaluations over
-/// the family — independent of both the row count *and* the frequent-set
-/// count, which is what lets the streaming base maintenance rebuild the
-/// Duquenne-Guigues basis per batch without expanding `F`.
-///
-/// Results are in canonical (size, then lexicographic) order.
-pub fn pseudo_closed_of_family(family: &[(Itemset, Support)], n_items: usize) -> Vec<PseudoClosed> {
-    if family.is_empty() {
-        return Vec::new();
-    }
-    let support_of: HashMap<&Itemset, Support> = family.iter().map(|(s, sup)| (s, *sup)).collect();
-    let op = FamilyClosure {
-        sets: family,
-        n_items,
-    };
-    let mut implications = ImplicationSet::new(n_items);
-    let mut found: Vec<PseudoClosed> = Vec::new();
-
-    // Ganter's walk: enumerate, in lectic order, the sets closed under
-    // the implications collected so far; each one is either closed in the
-    // system (skip) or pseudo-closed (record its implication — including
-    // the infrequent `P → I` ones, which the walk needs to stay exact
-    // even though they never become basis rules).
-    let mut a = Itemset::empty();
-    loop {
-        let b = op.close(&a);
-        if a != b {
-            if let Some(&support) = support_of.get(&b) {
-                found.push(PseudoClosed {
-                    set: a.clone(),
-                    closure: b.clone(),
-                    support,
-                });
-            }
-            implications.push(Implication::new(a.clone(), b));
-        }
-        if a.len() == n_items {
-            break;
-        }
-        match next_closed(&implications, &a) {
-            Some(next) => a = next,
-            None => break,
-        }
-    }
-    found.sort_by(|x, y| x.set.cmp(&y.set));
     found
 }
 
@@ -308,50 +212,5 @@ mod tests {
         let frequent = brute_frequent(&ctx, MinSupport::Count(1));
         let fc = brute_closed(&ctx, MinSupport::Count(2));
         let _ = frequent_pseudo_closed(&frequent, &fc);
-    }
-
-    /// The family-direct computation must agree, set for set, with the
-    /// definition-driven one that walks all frequent itemsets.
-    fn assert_family_matches_definition(db: TransactionDb, n_items: usize, min_count: u64) {
-        let ctx = MiningContext::new(db);
-        let frequent = brute_frequent(&ctx, MinSupport::Count(min_count));
-        let fc = brute_closed(&ctx, MinSupport::Count(min_count));
-        let expected = frequent_pseudo_closed(&frequent, &fc);
-        let family: Vec<(Itemset, Support)> = fc.iter().map(|(s, sup)| (s.clone(), sup)).collect();
-        let got = pseudo_closed_of_family(&family, n_items);
-        assert_eq!(got, expected, "min_count {min_count}");
-    }
-
-    #[test]
-    fn family_walk_matches_frequent_pseudo_closed() {
-        for min_count in 1..=5 {
-            assert_family_matches_definition(paper_example(), 6, min_count);
-        }
-        // A context where h(∅) ≠ ∅ (item 7 everywhere) and one with a
-        // closed universe member.
-        assert_family_matches_definition(
-            TransactionDb::from_rows(vec![vec![1, 7], vec![2, 7], vec![1, 2, 7]]),
-            8,
-            1,
-        );
-        assert_family_matches_definition(TransactionDb::from_rows(vec![vec![0, 1, 2]; 3]), 3, 1);
-        // Pairwise-disjoint items: everything closed, no pseudo-closed.
-        assert_family_matches_definition(
-            TransactionDb::from_rows(vec![vec![0], vec![1], vec![2]]),
-            3,
-            1,
-        );
-        // A universe wider than any row exercises the infrequent `P → I`
-        // premises the walk records but never emits.
-        assert_family_matches_definition(
-            TransactionDb::from_rows(vec![vec![0, 3], vec![0, 4], vec![1, 3]]),
-            6,
-            1,
-        );
-    }
-
-    #[test]
-    fn family_walk_on_empty_family() {
-        assert!(pseudo_closed_of_family(&[], 5).is_empty());
     }
 }

@@ -23,7 +23,7 @@ use rulebases::checkpoint::{
     write_snapshot, CheckpointPolicy, CheckpointedMiner, FaultFs, RecoveryError,
 };
 use rulebases::{RuleMiner, StreamingMiner, Window};
-use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
+use rulebases_dataset::{fnv1a64, EngineKind, MinSupport, TransactionDb};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -434,4 +434,38 @@ fn a_serving_session_snapshots_into_the_same_format() {
     assert!(report.lost.is_none());
     assert_eq!(report.restore_engine_calls, 0);
     assert_eq!(folded_payload(&recovered), wire_of(server.miner()));
+}
+
+#[test]
+fn a_ttl_ledger_that_miscounts_the_rows_is_rejected() {
+    // A `Ttl` session's aging ledger must cover exactly the retained
+    // rows; a wire that says otherwise would expire rows the session does
+    // not hold on its next push. Checksums cannot catch a consistent
+    // frame around a wrong ledger, so the restore itself must.
+    let config = RuleMiner::new(MinSupport::Count(2)).min_confidence(0.5);
+    let mut session = config
+        .streaming(TransactionDb::from_rows(census_rows(6)))
+        .window(Window::Ttl(2));
+    session.push_batch(census_rows(3)).unwrap();
+    let dir = TempDir::new("ledger");
+    let path = write_snapshot(&session, dir.path()).unwrap();
+    let payload = read_payload(&path);
+    let ledger = "\"batch_sizes\":[6,3]";
+    assert!(payload.contains(ledger), "wire shape changed: {payload}");
+    let bad = payload.replace(ledger, "\"batch_sizes\":[6,30]");
+    let mut framed = format!(
+        "rulebases-ckpt v1 len={} fnv={:016x}\n",
+        bad.len(),
+        fnv1a64(bad.as_bytes())
+    )
+    .into_bytes();
+    framed.extend_from_slice(bad.as_bytes());
+    fs::write(&path, framed).unwrap();
+    match CheckpointedMiner::recover(dir.path()) {
+        Err(RecoveryError::NoCheckpoint { rejected, .. }) => assert!(
+            rejected.iter().any(|r| r.contains("TTL ledger")),
+            "{rejected:?}"
+        ),
+        other => panic!("expected the bad ledger to be rejected, got {other:?}"),
+    }
 }

@@ -2,8 +2,9 @@
 //!
 //! The contract of `RuleMiner::streaming`: replaying a context in *any*
 //! batch schedule, over *any* engine backend, lands in exactly the state
-//! the one-shot fused pipeline computes on the full context — closed
-//! sets, Hasse edges, the DG basis, and both Luxenburger bases. And it
+//! the one-shot fused pipeline — and the independent staged oracle —
+//! computes on the full context: closed sets, Hasse edges, the DG basis,
+//! and both Luxenburger bases. And it
 //! must get there cheaper: `push_batch` patches the maintained lattice
 //! with set algebra, so a whole replay performs strictly fewer engine
 //! calls than re-mining the grown context from scratch once per batch
@@ -31,29 +32,57 @@ fn census_rows(n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn assert_stream_matches_oracle(streamed: &MinedBases, oracle: &MinedBases, label: &str) {
+fn assert_same_bases(streamed: &MinedBases, reference: &MinedBases, label: &str) {
     assert_eq!(
         streamed.closed.clone().into_sorted_vec(),
-        oracle.closed.clone().into_sorted_vec(),
+        reference.closed.clone().into_sorted_vec(),
         "{label}: closed sets"
     );
     assert_eq!(
         streamed.lattice.edges().collect::<Vec<_>>(),
-        oracle.lattice.edges().collect::<Vec<_>>(),
+        reference.lattice.edges().collect::<Vec<_>>(),
         "{label}: Hasse edges"
     );
-    assert_eq!(streamed.dg.rules(), oracle.dg.rules(), "{label}: DG basis");
+    assert_eq!(
+        streamed.frequent.len(),
+        reference.frequent.len(),
+        "{label}: frequent sets"
+    );
+    assert_eq!(
+        streamed.dg.rules(),
+        reference.dg.rules(),
+        "{label}: DG basis"
+    );
     assert_eq!(
         streamed.lux_full.rules(),
-        oracle.lux_full.rules(),
+        reference.lux_full.rules(),
         "{label}: full Luxenburger basis"
     );
     assert_eq!(
         streamed.lux_reduced.rules(),
-        oracle.lux_reduced.rules(),
+        reference.lux_reduced.rules(),
         "{label}: reduced Luxenburger basis"
     );
-    assert_eq!(streamed.min_count, oracle.min_count, "{label}: min_count");
+    assert_eq!(
+        streamed.min_count, reference.min_count,
+        "{label}: min_count"
+    );
+}
+
+/// A session's bases against the one-shot mine `fused` of `rows` and
+/// against the staged oracle on the same rows. The oracle is the
+/// independent reference: `RuleMiner::mine` reads its bases out of the
+/// same maintained state the session patches.
+fn assert_stream_matches_oracle(
+    streamed: &MinedBases,
+    fused: &MinedBases,
+    miner: &RuleMiner,
+    rows: &[Vec<u32>],
+    label: &str,
+) {
+    let oracle = miner.staged_oracle(&MiningContext::new(TransactionDb::from_rows(rows.to_vec())));
+    assert_same_bases(streamed, fused, &format!("{label} vs fused mine"));
+    assert_same_bases(streamed, &oracle, &format!("{label} vs staged oracle"));
 }
 
 /// Order-insensitive equality of a direct (lattice-level) rule delta and
@@ -186,10 +215,10 @@ proptest! {
             assert_stream_matches_oracle(
                 stream.bases(),
                 &oracle,
+                &miner,
+                &rows,
                 &format!("{kind} / batch {batch}"),
             );
-            // The derived frequent sets ride along.
-            prop_assert_eq!(stream.bases().frequent.len(), oracle.frequent.len());
         }
     }
 
@@ -208,7 +237,13 @@ proptest! {
         for chunk in rows.chunks(batch.min(rows.len())) {
             stream.push_batch(chunk.to_vec()).unwrap();
         }
-        assert_stream_matches_oracle(stream.bases(), &oracle, &format!("batch {batch}"));
+        assert_stream_matches_oracle(
+            stream.bases(),
+            &oracle,
+            &miner,
+            &rows,
+            &format!("batch {batch}"),
+        );
     }
 }
 
@@ -237,7 +272,13 @@ fn streaming_uses_strictly_fewer_engine_calls_than_remining() {
         remining_calls += ctx.closure_cache_stats().engine_calls();
 
         // Same answer at every batch boundary.
-        assert_stream_matches_oracle(stream.bases(), &remined, &format!("prefix {seen}"));
+        assert_stream_matches_oracle(
+            stream.bases(),
+            &remined,
+            &miner,
+            &rows[..seen],
+            &format!("prefix {seen}"),
+        );
     }
     assert!(
         streaming_calls < remining_calls,

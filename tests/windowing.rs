@@ -2,8 +2,9 @@
 //!
 //! The contract of `StreamingMiner::window`: after every push, a session
 //! bounded by `Window::Sliding(n)` holds exactly the bases a one-shot
-//! fused mine of the window's own rows computes — closed sets, Hasse
-//! edges, the DG basis, and both Luxenburger bases — over *any* engine
+//! fused mine — and the independent staged oracle — computes on the
+//! window's own rows: closed sets, Hasse edges, the DG basis, and both
+//! Luxenburger bases, over *any* engine
 //! backend and *any* batch schedule, for both absolute and rescaling
 //! thresholds. `Window::Ttl(k)` does the same with whole batches as the
 //! unit of aging. And the session must get there without ever re-mining:
@@ -17,7 +18,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rulebases::{MinedBases, RuleMiner, Window};
-use rulebases_dataset::{EngineKind, MinSupport, TransactionDb};
+use rulebases_dataset::{paper_example, EngineKind, MinSupport, MiningContext, TransactionDb};
 
 /// The batch schedules the streaming suite pins: row-at-a-time, a ragged
 /// prime, the 64-aligned shard quantum, and everything at once.
@@ -32,32 +33,56 @@ fn census_rows(n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn assert_windowed_matches_fresh(streamed: &MinedBases, fresh: &MinedBases, label: &str) {
+fn assert_same_bases(streamed: &MinedBases, reference: &MinedBases, label: &str) {
     assert_eq!(
         streamed.closed.clone().into_sorted_vec(),
-        fresh.closed.clone().into_sorted_vec(),
+        reference.closed.clone().into_sorted_vec(),
         "{label}: closed sets"
     );
     assert_eq!(
         streamed.lattice.edges().collect::<Vec<_>>(),
-        fresh.lattice.edges().collect::<Vec<_>>(),
+        reference.lattice.edges().collect::<Vec<_>>(),
         "{label}: Hasse edges"
     );
-    assert_eq!(streamed.dg.rules(), fresh.dg.rules(), "{label}: DG basis");
+    assert_eq!(
+        streamed.dg.rules(),
+        reference.dg.rules(),
+        "{label}: DG basis"
+    );
     assert_eq!(
         streamed.lux_full.rules(),
-        fresh.lux_full.rules(),
+        reference.lux_full.rules(),
         "{label}: full Luxenburger basis"
     );
     assert_eq!(
         streamed.lux_reduced.rules(),
-        fresh.lux_reduced.rules(),
+        reference.lux_reduced.rules(),
         "{label}: reduced Luxenburger basis"
     );
-    assert_eq!(streamed.min_count, fresh.min_count, "{label}: min_count");
+    assert_eq!(
+        streamed.min_count, reference.min_count,
+        "{label}: min_count"
+    );
 }
 
-// Each case mines one fused oracle per batch boundary per backend, so the
+/// A windowed session's bases against a fresh mine of exactly the
+/// window's rows and against the staged oracle on the same rows. The
+/// oracle is the independent reference: `RuleMiner::mine` reads its
+/// bases out of the same maintained state the session patches.
+fn assert_windowed_matches_fresh(
+    streamed: &MinedBases,
+    miner: &RuleMiner,
+    window_rows: &[Vec<u32>],
+    label: &str,
+) {
+    let db = TransactionDb::from_rows(window_rows.to_vec());
+    let oracle = miner.staged_oracle(&MiningContext::new(db.clone()));
+    assert_same_bases(streamed, &miner.mine(db), &format!("{label} vs fresh mine"));
+    assert_same_bases(streamed, &oracle, &format!("{label} vs staged oracle"));
+}
+
+// Each case mines one fresh bundle and one staged oracle per batch
+// boundary per backend, so the
 // case counts are set explicitly (and capped by `PROPTEST_CASES`) to keep
 // the 1-CPU suite inside its budget.
 proptest! {
@@ -101,11 +126,10 @@ proptest! {
                 prop_assert_eq!(delta.expired, (seen.min(window + chunk.len())) - in_window);
                 prop_assert_eq!(delta.n_objects, in_window);
                 prop_assert_eq!(stream.n_objects(), in_window);
-                let tail = rows[seen - in_window..seen].to_vec();
-                let fresh = miner.mine(TransactionDb::from_rows(tail));
                 assert_windowed_matches_fresh(
                     stream.bases(),
-                    &fresh,
+                    &miner,
+                    &rows[seen - in_window..seen],
                     &format!("{kind} / window {window} / batch {batch} / seen {seen}"),
                 );
             }
@@ -146,8 +170,7 @@ proptest! {
             prop_assert_eq!(delta.expired, expired);
             let window_rows: Vec<Vec<u32>> = kept.iter().flatten().cloned().collect();
             prop_assert_eq!(stream.n_objects(), window_rows.len());
-            let fresh = miner.mine(TransactionDb::from_rows(window_rows));
-            assert_windowed_matches_fresh(stream.bases(), &fresh, &format!("keep {keep}"));
+            assert_windowed_matches_fresh(stream.bases(), &miner, &window_rows, &format!("keep {keep}"));
         }
     }
 }
@@ -208,8 +231,7 @@ fn batch_larger_than_window_keeps_its_tail() {
     assert_eq!(delta.appended, 16);
     assert_eq!(delta.expired, 12);
     assert_eq!(stream.n_objects(), 4);
-    let fresh = miner.mine(TransactionDb::from_rows(rows[12..].to_vec()));
-    assert_windowed_matches_fresh(stream.bases(), &fresh, "oversized batch");
+    assert_windowed_matches_fresh(stream.bases(), &miner, &rows[12..], "oversized batch");
 }
 
 /// A seed wider than the window is trimmed by the first push, not at
@@ -229,6 +251,38 @@ fn oversized_seed_trims_on_first_push() {
     assert_eq!(stream.n_objects(), 8);
     let mut tail = rows[13..].to_vec();
     tail.push(vec![0, 4, 7, 9]);
-    let fresh = miner.mine(TransactionDb::from_rows(tail));
-    assert_windowed_matches_fresh(stream.bases(), &fresh, "oversized seed");
+    assert_windowed_matches_fresh(stream.bases(), &miner, &tail, "oversized seed");
+}
+
+/// Switching a session to `Ttl` ages every row it retains as one batch,
+/// whatever policy kept them: the rows pushed while the session was
+/// unbounded expire with the seed on the next push.
+#[test]
+fn switching_to_ttl_ages_unbounded_rows_as_one_batch() {
+    let miner = RuleMiner::new(MinSupport::Count(1)).min_confidence(0.5);
+    let mut stream = miner.streaming(paper_example());
+    for row in [vec![1, 3], vec![2, 5], vec![1, 2]] {
+        stream.push_batch(vec![row]).unwrap();
+    }
+    stream.set_window(Window::Ttl(1));
+    assert_eq!(stream.n_objects(), 8, "set_window itself must not mutate");
+    let delta = stream.push_batch(vec![vec![3, 4]]).unwrap();
+    assert_eq!(delta.expired, 8);
+    assert_eq!(stream.n_objects(), 1);
+    assert_windowed_matches_fresh(stream.bases(), &miner, &[vec![3, 4]], "unbounded → ttl");
+}
+
+/// The same rule after a sliding window trimmed the seed: the ledger
+/// covers the rows the window kept, not the seed it was opened with.
+#[test]
+fn switching_to_ttl_ages_sliding_rows_as_one_batch() {
+    let miner = RuleMiner::new(MinSupport::Count(1)).min_confidence(0.5);
+    let mut stream = miner.streaming(paper_example()).window(Window::Sliding(2));
+    stream.push_batch(vec![vec![1, 3]]).unwrap();
+    assert_eq!(stream.n_objects(), 2);
+    stream.set_window(Window::Ttl(1));
+    let delta = stream.push_batch(vec![vec![2, 5]]).unwrap();
+    assert_eq!(delta.expired, 2);
+    assert_eq!(stream.n_objects(), 1);
+    assert_windowed_matches_fresh(stream.bases(), &miner, &[vec![2, 5]], "sliding → ttl");
 }
