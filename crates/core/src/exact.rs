@@ -73,16 +73,19 @@ pub struct DuquenneGuiguesBasis {
 impl DuquenneGuiguesBasis {
     /// Builds the basis from the frequent itemsets and the frequent closed
     /// itemsets of the same context at the same threshold: one rule
-    /// `P → h(P) ∖ P` per frequent pseudo-closed `P`.
+    /// `P → h(P) ∖ P` per frequent pseudo-closed `P`, found by the
+    /// `F`-based reference [`frequent_pseudo_closed`] (what
+    /// [`crate::RuleMiner::staged_oracle`] runs).
     pub fn build(frequent: &FrequentItemsets, fc: &ClosedItemsets, n_items: usize) -> Self {
         Self::from_pseudo_closed(frequent_pseudo_closed(frequent, fc), n_items)
     }
 
     /// Builds the basis from an already-computed list of frequent
     /// pseudo-closed itemsets (canonical order) — the constructor the
-    /// maintained bases read out with: they keep `FP` between batches
-    /// (recomputed by [`frequent_pseudo_closed`] only when the iceberg
-    /// family moves), so the read-out need not walk `F` again.
+    /// maintained bases read out with: they keep `FP` between batches,
+    /// recomputed from the iceberg classes' generator tags
+    /// ([`rulebases_lattice::pseudo_closed_from_generators`]) only when
+    /// the iceberg family moves.
     pub fn from_pseudo_closed(pseudo_closed: Vec<PseudoClosed>, n_items: usize) -> Self {
         let mut rules = Vec::with_capacity(pseudo_closed.len());
         let mut implications = ImplicationSet::new(n_items);

@@ -10,16 +10,22 @@
 //!
 //! * as Close / A-Close / CHARM prove each closed set, it streams through
 //!   a [`ClosedSink`] into an [`IncrementalLattice`] that maintains the
-//!   covering relation (and the minimal-generator tags the levelwise
-//!   miners carry for free) insertion by insertion — no post-hoc rebuild;
-//! * the finished lattice seeds the same maintained-bases state a
+//!   covering relation insertion by insertion — no post-hoc rebuild;
+//! * once the mine is done, the lattice tags every class with its
+//!   minimal generators, derived from its lower covers by one Berge
+//!   constraint step per cover
+//!   ([`IncrementalLattice::derive_generator_tags`]) — one tag source for
+//!   all three miners, with no generator carried through the traversal;
+//! * the tagged lattice seeds the same maintained-bases state a
 //!   [`StreamingMiner`] patches per batch, and the bundle is read out of
-//!   it by the code [`StreamingMiner::bases`] uses: the frequent itemsets
-//!   are *derived* from `FC` by the generating-set property of the
-//!   paper's Definition 1 (every frequent itemset is a subset of a
+//!   it by the code [`StreamingMiner::bases`] uses: the Duquenne-Guigues
+//!   basis comes from the classes' generator tags
+//!   ([`pseudo_closed_from_generators`]), both Luxenburger bases from the
+//!   maintained per-pair rule maps, and the frequent itemsets the bundle
+//!   reports are *derived* from `FC` by the generating-set property of
+//!   the paper's Definition 1 (every frequent itemset is a subset of a
 //!   frequent closed itemset and takes its closure's support) instead of
-//!   re-mined, the Duquenne-Guigues basis is built from them, and both
-//!   Luxenburger bases come from the maintained per-pair rule maps.
+//!   re-mined. No basis reads `F`.
 //!
 //! Batch mining is thus literally the seed of a streaming session: one
 //! construction per basis serves both. The staged composition survives
@@ -32,6 +38,8 @@
 //!
 //! [`ClosedSink`]: rulebases_mining::ClosedSink
 //! [`IncrementalLattice`]: rulebases_lattice::IncrementalLattice
+//! [`IncrementalLattice::derive_generator_tags`]: rulebases_lattice::IncrementalLattice::derive_generator_tags
+//! [`pseudo_closed_from_generators`]: rulebases_lattice::pseudo_closed_from_generators
 //! [`IcebergLattice::from_closed`]: rulebases_lattice::IcebergLattice::from_closed
 //! [`StreamingMiner`]: crate::stream::StreamingMiner
 //! [`StreamingMiner::bases`]: crate::stream::StreamingMiner::bases
@@ -43,22 +51,21 @@ use rulebases_lattice::IncrementalLattice;
 use rulebases_mining::ClosedSink;
 
 /// The sink the fused traversal mines into: every emission goes straight
-/// into the incremental Hasse builder (which also dedups re-emissions and
-/// keeps the generator tags minimal).
+/// into the incremental Hasse builder (which also dedups re-emissions).
 #[derive(Default)]
 struct LatticeSink {
     lattice: IncrementalLattice,
 }
 
 impl ClosedSink for LatticeSink {
-    fn accept(&mut self, set: &Itemset, support: Support, generator: Option<&Itemset>) {
-        self.lattice.insert(set, support, generator);
+    fn accept(&mut self, set: &Itemset, support: Support) {
+        self.lattice.insert(set, support);
     }
 }
 
 /// Runs the fused pipeline for `miner` over `ctx`: one mining traversal
-/// feeding the incremental lattice, then the maintained-bases seed and
-/// its read-out.
+/// feeding the incremental lattice, the generator tags derived from its
+/// covers, then the maintained-bases seed and its read-out.
 pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
     let mut sink = LatticeSink::default();
     let stats = miner.algorithm_config().mine_sink_par(
@@ -67,8 +74,9 @@ pub(crate) fn mine_bases(miner: &RuleMiner, ctx: &MiningContext) -> MinedBases {
         miner.parallelism_config(),
         &mut sink,
     );
-    let (state, sets) = MaintainedBases::seed(miner, ctx, &sink.lattice);
-    let mut bases = state.materialize(miner, ctx, &sink.lattice, sets);
+    sink.lattice.derive_generator_tags();
+    let state = MaintainedBases::seed(miner, ctx, &sink.lattice);
+    let mut bases = state.materialize(miner, ctx, &sink.lattice);
     bases.closed.stats = stats;
     bases
 }
@@ -103,39 +111,49 @@ mod tests {
 
     #[test]
     fn fused_generator_tags_are_minimal_generators() {
-        // The levelwise traversals tag each closure class with its
-        // minimal generators; CHARM's IT-tree cannot and leaves the tags
-        // empty.
+        // Every miner's lattice is tagged from its covers after the
+        // mine: each class carries exactly its minimal generators.
         let ctx = MiningContext::new(paper_example());
-        for algo in [ClosedAlgorithm::Close, ClosedAlgorithm::AClose] {
-            let bases = RuleMiner::new(MinSupport::Count(2))
-                .algorithm(algo)
-                .mine_context(&ctx);
-            let tags = &bases.minimal_generators;
-            assert_eq!(tags.len(), bases.lattice.n_nodes());
-            let mut seen = 0;
-            for (node, generators) in tags.iter().enumerate() {
-                let (closure, support) = bases.lattice.node(node);
-                assert!(!generators.is_empty(), "{algo}: node {node} untagged");
-                for g in generators {
-                    seen += 1;
-                    // Same closure class...
-                    assert_eq!(&ctx.closure(g), closure, "{algo}");
-                    // ...and minimal: every facet has strictly larger
-                    // support.
-                    for facet in g.facets() {
-                        assert!(ctx.support(&facet) > support, "{algo}: {g:?} not minimal");
+        for min_count in 1..=3 {
+            for algo in ClosedAlgorithm::ALL {
+                let bases = RuleMiner::new(MinSupport::Count(min_count))
+                    .algorithm(algo)
+                    .mine_context(&ctx);
+                let tags = &bases.minimal_generators;
+                assert_eq!(tags.len(), bases.lattice.n_nodes());
+                // The transversal oracle over the same iceberg.
+                let mut oracle = IncrementalLattice::new();
+                for (set, support) in bases.closed.iter() {
+                    oracle.insert(set, support);
+                }
+                for (node, generators) in tags.iter().enumerate() {
+                    let (closure, support) = bases.lattice.node(node);
+                    let id = oracle.position(closure).unwrap();
+                    assert_eq!(
+                        generators,
+                        &oracle.oracle_generators_of(id),
+                        "{algo} at {min_count}: node {node} incomplete"
+                    );
+                    for g in generators {
+                        // Same closure class...
+                        assert_eq!(&ctx.closure(g), closure, "{algo}");
+                        // ...and minimal: every facet has strictly larger
+                        // support.
+                        for facet in g.facets() {
+                            assert!(ctx.support(&facet) > support, "{algo}: {g:?} not minimal");
+                        }
                     }
                 }
+                if min_count == 2 {
+                    // BE is generated by both B and E.
+                    let be = bases.lattice.position(&Itemset::from_ids([2, 5])).unwrap();
+                    assert_eq!(
+                        tags[be],
+                        vec![Itemset::from_ids([2]), Itemset::from_ids([5])],
+                        "{algo}"
+                    );
+                }
             }
-            // BE is generated by both B and E.
-            let be = bases.lattice.position(&Itemset::from_ids([2, 5])).unwrap();
-            assert_eq!(
-                tags[be],
-                vec![Itemset::from_ids([2]), Itemset::from_ids([5])],
-                "{algo}"
-            );
-            assert!(seen >= bases.lattice.n_nodes(), "{algo}");
         }
         // The staged oracle collects no tags.
         let staged = RuleMiner::new(MinSupport::Count(2)).staged_oracle(&ctx);

@@ -264,9 +264,11 @@ pub struct MinedBases {
     /// The iceberg lattice over `FC`.
     pub lattice: IcebergLattice,
     /// Minimal-generator tags per lattice node (aligned with
-    /// [`IcebergLattice`] node order), collected on the fly by the
-    /// levelwise traversals; empty per node under CHARM (its IT-tree
-    /// carries no generators) and from [`RuleMiner::staged_oracle`].
+    /// [`IcebergLattice`] node order, each list sorted): the complete set
+    /// of minimal generators of every class, derived from the lattice's
+    /// lower covers whichever miner ran — the tags the Duquenne-Guigues
+    /// basis is built from. Empty per node from
+    /// [`RuleMiner::staged_oracle`].
     pub minimal_generators: Vec<Vec<Itemset>>,
     /// The Duquenne-Guigues basis.
     pub dg: DuquenneGuiguesBasis,

@@ -29,9 +29,12 @@
 //!    computed — without materializing and diffing full rule snapshots.
 //!    The Duquenne-Guigues premises only restate supports unless the
 //!    iceberg family moved; then they are recomputed by
-//!    [`frequent_pseudo_closed`] from `F`, derived from the family by
-//!    the generating-set property. (The snapshot-diff formulation
-//!    survives as [`BasesDelta::between`], the test oracle.)
+//!    [`pseudo_closed_from_generators`] from the iceberg classes and the
+//!    minimal-generator tags step 3 keeps exact — one implication
+//!    closure per tag, never a pass over `F`. `F` is derived only when
+//!    [`StreamingMiner::bases`] materializes the bundle. (The
+//!    snapshot-diff formulation survives as [`BasesDelta::between`], the
+//!    test oracle.)
 //!
 //! The returned [`BasesDelta`] says exactly what changed: closed sets
 //! that entered or left the iceberg, and rules added to / removed from /
@@ -64,8 +67,9 @@
 //! windowed state after every push equals a fresh mine of exactly the
 //! window's rows — property-tested in `tests/windowing.rs` over every
 //! backend — and no layer ever re-mines or queries the support engine
-//! during maintenance while every iceberg class has fewer than 64 items
-//! (past that, deriving `F` for the DG falls back to Apriori).
+//! during a push, whatever the width of the classes. Only reading the
+//! bundle out ([`StreamingMiner::bases`]) derives `F`, which falls back
+//! to Apriori once a class reaches 64 items.
 //!
 //! [`TxDelta::Expire`]: rulebases_dataset::TxDelta::Expire
 //! [`IncrementalLattice::remove_object_delta`]: rulebases_lattice::IncrementalLattice::remove_object_delta
@@ -106,7 +110,7 @@ use rulebases_dataset::{
     TransactionDb, TxDelta,
 };
 use rulebases_lattice::{
-    frequent_pseudo_closed, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
+    pseudo_closed_from_generators, GenStats, IncrementalLattice, LatticeDelta, PseudoClosed,
 };
 use rulebases_mining::{Apriori, ClosedAlgorithm, ClosedItemsets, FrequentItemsets};
 use serde::{Deserialize, Serialize};
@@ -471,9 +475,10 @@ fn min_count_for(minsup: MinSupport, n: usize) -> Support {
 /// `supp(X) = supp(h(X)) = max { supp(C) : X ⊆ C ∈ FC }`.
 ///
 /// Exponential in the widest closed set, exactly like materializing `F`
-/// by mining is; the (practically unreachable) Apriori fallback keeps
-/// itemsets wider than the subset-enumeration limit correct rather than
-/// fast — and is the one place base maintenance queries the engine.
+/// by mining is; the Apriori fallback keeps itemsets wider than the
+/// subset-enumeration limit correct rather than fast. Only the bundle
+/// read-out ([`MaintainedBases::materialize`]) calls this: no basis reads
+/// `F`, so a push never does.
 fn derive_frequent(
     closed: &ClosedItemsets,
     config: &RuleMiner,
@@ -492,14 +497,13 @@ impl MaintainedBases {
     /// Builds the whole maintained state from scratch against `lattice`
     /// — the construction behind [`RuleMiner::mine`] and every session
     /// seed (per-batch updates go through [`StreamingMiner::patch_bases`]
-    /// instead). Also returns the iceberg family and the `F` derived from
-    /// it for the DG, so a caller reading the bundle out right away
-    /// derives `F` once.
+    /// instead). Every live node of `lattice` must carry its complete
+    /// minimal-generator tags.
     pub(crate) fn seed(
         config: &RuleMiner,
         ctx: &MiningContext,
         lattice: &IncrementalLattice,
-    ) -> (Self, (ClosedItemsets, FrequentItemsets)) {
+    ) -> Self {
         let minconf = config.min_confidence_config();
         let include_empty = config.include_empty_antecedent_config();
         let min_count = min_count_for(config.min_support_config(), ctx.n_objects());
@@ -512,9 +516,7 @@ impl MaintainedBases {
             in_iceberg,
             ..MaintainedBases::default()
         };
-        // The DG first: its pass over `F` is the seed's memory peak, and
-        // the rule maps need not be resident during it.
-        let sets = state.rebuild_dg(config, ctx, lattice);
+        state.rebuild_dg(lattice);
         for i in 0..n {
             for &j in lattice.upper_covers(i) {
                 if let Some(rule) = reduced_rule(lattice, &state.in_iceberg, minconf, i, j) {
@@ -529,17 +531,41 @@ impl MaintainedBases {
                 }
             }
         }
-        (state, sets)
+        state
     }
 
-    /// The iceberg family as `FC` at the maintained threshold, and `F`
-    /// derived from it.
-    fn iceberg_sets(
+    /// Recomputes the frequent pseudo-closed sets from the maintained
+    /// iceberg classes and their minimal-generator tags — `F` is never
+    /// derived here.
+    fn rebuild_dg(&mut self, lattice: &IncrementalLattice) {
+        self.dg = pseudo_closed_from_generators(
+            (0..lattice.n_nodes())
+                .filter(|&i| self.in_iceberg[i])
+                .map(|i| {
+                    let (set, support) = lattice.node(i);
+                    (set, support, lattice.generator_tags(i))
+                }),
+        );
+        self.dg_nodes = self
+            .dg
+            .iter()
+            .map(|p| {
+                lattice
+                    .position(&p.closure)
+                    .expect("pseudo-closure is a lattice node")
+            })
+            .collect();
+    }
+
+    /// Reads the maintained state out as a [`MinedBases`] bundle. The
+    /// bundle's `F` is derived here, once, from the iceberg family; no
+    /// basis reads it.
+    pub(crate) fn materialize(
         &self,
         config: &RuleMiner,
         ctx: &MiningContext,
         lattice: &IncrementalLattice,
-    ) -> (ClosedItemsets, FrequentItemsets) {
+    ) -> MinedBases {
         let closed = ClosedItemsets::from_pairs(
             (0..lattice.n_nodes())
                 .filter(|&i| self.in_iceberg[i])
@@ -552,40 +578,6 @@ impl MaintainedBases {
             ctx.n_objects(),
         );
         let frequent = derive_frequent(&closed, config, ctx);
-        (closed, frequent)
-    }
-
-    /// Recomputes the frequent pseudo-closed sets from `F`, derived from
-    /// the maintained iceberg family; returns the family and `F`.
-    fn rebuild_dg(
-        &mut self,
-        config: &RuleMiner,
-        ctx: &MiningContext,
-        lattice: &IncrementalLattice,
-    ) -> (ClosedItemsets, FrequentItemsets) {
-        let (closed, frequent) = self.iceberg_sets(config, ctx, lattice);
-        self.dg = frequent_pseudo_closed(&frequent, &closed);
-        self.dg_nodes = self
-            .dg
-            .iter()
-            .map(|p| {
-                lattice
-                    .position(&p.closure)
-                    .expect("pseudo-closure is a lattice node")
-            })
-            .collect();
-        (closed, frequent)
-    }
-
-    /// Reads the maintained state out as a [`MinedBases`] bundle. `sets`
-    /// must be [`MaintainedBases::iceberg_sets`] of this state.
-    pub(crate) fn materialize(
-        &self,
-        config: &RuleMiner,
-        ctx: &MiningContext,
-        lattice: &IncrementalLattice,
-        (closed, frequent): (ClosedItemsets, FrequentItemsets),
-    ) -> MinedBases {
         let (lattice, minimal_generators) = lattice.snapshot(self.min_count);
         let dg = DuquenneGuiguesBasis::from_pseudo_closed(self.dg.clone(), ctx.n_items());
         let lux_full = LuxenburgerBasis::from_sorted_rules(
@@ -656,7 +648,7 @@ impl StreamingMiner {
         for t in 0..db.n_transactions() {
             lattice.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
         }
-        let (state, _) = MaintainedBases::seed(&config, &ctx, &lattice);
+        let state = MaintainedBases::seed(&config, &ctx, &lattice);
         let batch_sizes = one_batch_ledger(db.n_transactions());
         StreamingMiner {
             config,
@@ -768,8 +760,6 @@ impl StreamingMiner {
             self.db = shrunk;
         }
         self.maybe_compact();
-        // Drop the stale bundle first: its `F` need not stay resident
-        // while the patch derives a new one for the DG.
         self.cached = None;
         Ok(self.patch_bases(&touched, self.db.epoch(), appended, expired))
     }
@@ -955,7 +945,7 @@ impl StreamingMiner {
         // intents: while no class entered or left, the batch can only
         // restate supports (a pseudo-closed set's support is its closure
         // class's). When the family moved, recompute the premises from
-        // `F` derived from the family and diff the two DG-sized lists.
+        // the family's generator tags and diff the two DG-sized lists.
         let dg = if entered.is_empty() && left.is_empty() {
             let mut restated = 0;
             for (p, node) in state.dg.iter_mut().zip(&state.dg_nodes) {
@@ -972,7 +962,7 @@ impl StreamingMiner {
             }
         } else {
             let old_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
-            state.rebuild_dg(&self.config, &self.ctx, lattice);
+            state.rebuild_dg(lattice);
             let new_rules: Vec<Rule> = state.dg.iter().map(dg_rule).collect();
             // Both lists are DG-sized (the smallest basis), canonically
             // ordered by premise: diffing them IS the delta-sized
@@ -1009,17 +999,16 @@ impl StreamingMiner {
     /// same maintained state. Materialized on the first call after a
     /// batch, then cached (which is why this takes `&mut self`);
     /// [`StreamingMiner::push_batch`] itself never pays for
-    /// materialization.
+    /// materialization. The read-out derives the bundle's `F` from the
+    /// iceberg family: exponential in the widest class, and the one step
+    /// of a session that can query the engine (Apriori, once a class
+    /// reaches 64 items).
     pub fn bases(&mut self) -> &MinedBases {
         if self.cached.is_none() {
-            let sets = self
-                .state
-                .iceberg_sets(&self.config, &self.ctx, &self.lattice);
-            self.cached =
-                Some(
-                    self.state
-                        .materialize(&self.config, &self.ctx, &self.lattice, sets),
-                );
+            self.cached = Some(
+                self.state
+                    .materialize(&self.config, &self.ctx, &self.lattice),
+            );
         }
         self.cached.as_ref().expect("just materialized")
     }

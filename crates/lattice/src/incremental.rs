@@ -17,12 +17,15 @@
 //! insertions (one closure reached from several generators) are cheap
 //! hash lookups.
 //!
-//! Alongside the order itself, the builder tags every node with the
-//! **minimal generators** the miner reports for it (see
-//! [`IncrementalLattice::insert`]) — the levelwise closed miners prove
-//! minimality as a byproduct, and downstream constructions (the generic
-//! and informative bases) want generators per closure class without a
-//! separate mining pass.
+//! Alongside the order itself, every node carries the **minimal
+//! generators** of its closure class. A diagram grown by closed-set
+//! insertion derives them in one pass once the sets are in
+//! ([`IncrementalLattice::derive_generator_tags`]): the minimal
+//! generators of `Z` are the minimal transversals of the complements
+//! `Z ∖ C` over its lower covers `C`, built by one Berge constraint step
+//! per cover. Downstream constructions — the Duquenne–Guigues basis
+//! ([`crate::pseudo::pseudo_closed_from_generators`]) and the generic and
+//! informative bases — read the tags instead of re-mining.
 //!
 //! # Streaming: object insertion
 //!
@@ -259,7 +262,8 @@ pub struct IncrementalLattice {
     /// Generator-maintenance strategy for the object paths.
     gen_mode: GenMaintenance,
     /// Lifetime generator-maintenance work (every step's
-    /// [`LatticeDelta::gen`] plus the miner-tag subsumption checks).
+    /// [`LatticeDelta::gen`] plus every
+    /// [`IncrementalLattice::derive_generator_tags`] pass).
     stats: GenStats,
 }
 
@@ -283,8 +287,8 @@ impl IncrementalLattice {
     }
 
     /// Cumulative generator-maintenance work over this lattice's
-    /// lifetime (every object step's [`LatticeDelta::gen`] plus the
-    /// subsumption checks miner-proven tags cost on arrival).
+    /// lifetime (every object step's [`LatticeDelta::gen`] plus every
+    /// [`IncrementalLattice::derive_generator_tags`] pass).
     pub fn gen_stats(&self) -> GenStats {
         self.stats
     }
@@ -313,22 +317,17 @@ impl IncrementalLattice {
         self.upper.iter().map(Vec::len).sum()
     }
 
-    /// Inserts a closed set with its support and an optional minimal
-    /// generator tag, maintaining the covering relation. Re-inserting a
-    /// known set only records the (deduplicated) generator tag. Returns
-    /// the node's internal id.
+    /// Inserts a closed set with its support, maintaining the covering
+    /// relation. Re-inserting a known set is a no-op. Returns the node's
+    /// internal id. The node's generator tags stay empty until
+    /// [`IncrementalLattice::derive_generator_tags`] runs.
     ///
     /// # Panics
     ///
     /// Panics if the set was inserted before with a different support —
     /// closed sets have one extent.
-    pub fn insert(
-        &mut self,
-        set: &Itemset,
-        support: Support,
-        generator: Option<&Itemset>,
-    ) -> usize {
-        self.insert_reporting(set, support, generator, &mut Vec::new())
+    pub fn insert(&mut self, set: &Itemset, support: Support) -> usize {
+        self.insert_reporting(set, support, &mut Vec::new())
     }
 
     /// [`IncrementalLattice::insert`], additionally appending every
@@ -338,7 +337,6 @@ impl IncrementalLattice {
         &mut self,
         set: &Itemset,
         support: Support,
-        generator: Option<&Itemset>,
         removed_edges: &mut Vec<(usize, usize)>,
     ) -> usize {
         if let Some(&id) = self.index.get(set) {
@@ -346,7 +344,6 @@ impl IncrementalLattice {
                 self.nodes[id].1, support,
                 "conflicting supports for {set:?}"
             );
-            self.tag(id, generator);
             return id;
         }
         let id = self.nodes.len();
@@ -414,7 +411,6 @@ impl IncrementalLattice {
         for &s in &succs {
             self.lower[s].push(id);
         }
-        self.tag(id, generator);
         id
     }
 
@@ -442,7 +438,7 @@ impl IncrementalLattice {
     /// This maintains the **unthresholded** lattice: a support floor
     /// cannot be applied during maintenance, because an infrequent class
     /// may become frequent under later appends; cut iceberg views with
-    /// [`IncrementalLattice::snapshot`]. Do not mix with miner-tagged
+    /// [`IncrementalLattice::snapshot`]. Do not mix with closed-set
     /// [`IncrementalLattice::insert`] calls on the same instance — the
     /// generator maintenance assumes every closed set of the context is
     /// a node.
@@ -520,7 +516,7 @@ impl IncrementalLattice {
                     .cloned()
                     .collect()
             });
-            let id = self.insert_reporting(&meet, base + 1, None, &mut delta.removed_edges);
+            let id = self.insert_reporting(&meet, base + 1, &mut delta.removed_edges);
             delta.created.push(id);
             match self.gen_mode {
                 GenMaintenance::Local => {
@@ -877,26 +873,35 @@ impl IncrementalLattice {
         true
     }
 
-    /// Records a miner-proven generator tag for a node, keeping the tag
-    /// list minimal: a tag subsumed by (superset of) an existing tag is
-    /// dropped, and tags subsumed by the new one are removed. This is
-    /// the whole maintenance story for the fused [`ClosedSink`] path —
-    /// the context is fixed while closed sets arrive, so interposition
-    /// rewires the diagram without moving any class's generator set,
-    /// and seeding from the miner's proofs is already delta-sized.
+    /// Tags every live node with its minimal generators, derived from
+    /// its lower covers: starting from `{∅}`, one Berge constraint step
+    /// per lower cover (the cover-gain rule of the object paths) leaves
+    /// exactly the minimal transversals of the complements — the
+    /// characterization [`IncrementalLattice::oracle_generators_of`]
+    /// computes, reached step by step, so no transversal fallback is
+    /// counted. This is how a diagram built by
+    /// closed-set [`IncrementalLattice::insert`] gets its tags, whichever
+    /// miner fed it.
     ///
-    /// [`ClosedSink`]: rulebases_mining::sink::ClosedSink
-    fn tag(&mut self, id: usize, generator: Option<&Itemset>) {
-        let Some(g) = generator else {
-            return;
-        };
-        self.stats.subsumption_checks += self.generators[id].len() as u64;
-        let tags = &mut self.generators[id];
-        if tags.iter().any(|t| t.is_subset_of(g)) {
-            return; // equal or smaller generator already recorded
+    /// The tags are exact when the diagram is a down-set of the closure
+    /// system — every closed subset of a node is a node. The whole
+    /// system (what `insert_object` maintains) and an iceberg at any
+    /// threshold (what a closed miner emits) both are: a closed subset
+    /// is at least as frequent. Returns the work spent, which is also
+    /// added to [`IncrementalLattice::gen_stats`].
+    pub fn derive_generator_tags(&mut self) -> GenStats {
+        let mut stats = GenStats::default();
+        for id in 0..self.nodes.len() {
+            if !self.alive[id] {
+                continue;
+            }
+            self.generators[id] = vec![Itemset::empty()];
+            for c in self.lower[id].clone() {
+                self.add_cover_constraint(id, c, &mut stats);
+            }
         }
-        tags.retain(|t| !g.is_subset_of(t));
-        tags.push(g.clone());
+        self.stats.absorb(stats);
+        stats
     }
 
     /// Cuts the iceberg view at a support threshold, without consuming
@@ -942,9 +947,10 @@ impl IncrementalLattice {
     }
 
     /// Finalizes into a canonical-order [`IcebergLattice`] plus, aligned
-    /// with its node order, the minimal-generator tags collected per
-    /// closed set (empty for nodes the miner never tagged) — the
-    /// unthresholded [`IncrementalLattice::snapshot`].
+    /// with its node order, each closed set's minimal-generator tags —
+    /// the unthresholded [`IncrementalLattice::snapshot`]. Tags are
+    /// empty on a diagram grown by [`IncrementalLattice::insert`] until
+    /// [`IncrementalLattice::derive_generator_tags`] runs.
     pub fn finish(self) -> (IcebergLattice, Vec<Vec<Itemset>>) {
         self.snapshot(0)
     }
@@ -1117,11 +1123,11 @@ mod tests {
             let mut inc = IncrementalLattice::new();
             for i in 0..n {
                 let (s, sup) = &pairs[(i * 5 + rotation) % n];
-                inc.insert(s, *sup, None);
+                inc.insert(s, *sup);
             }
             // Duplicate re-insertions are no-ops.
             for (s, sup) in &pairs {
-                inc.insert(s, *sup, None);
+                inc.insert(s, *sup);
             }
             assert_eq!(inc.n_nodes(), reference.n_nodes());
             let lattice = inc.into_lattice();
@@ -1136,13 +1142,13 @@ mod tests {
         // Insert ∅ and ABCE first (edge ∅→ABCE), then interpose C and AC:
         // the long edge must disappear step by step.
         let mut inc = IncrementalLattice::new();
-        inc.insert(&Itemset::empty(), 5, None);
-        inc.insert(&set(&[1, 2, 3, 5]), 2, None);
+        inc.insert(&Itemset::empty(), 5);
+        inc.insert(&set(&[1, 2, 3, 5]), 2);
         assert_eq!(inc.n_edges(), 1);
-        inc.insert(&set(&[3]), 4, None);
+        inc.insert(&set(&[3]), 4);
         // ∅→C→ABCE.
         assert_eq!(inc.n_edges(), 2);
-        inc.insert(&set(&[1, 3]), 3, None);
+        inc.insert(&set(&[1, 3]), 3);
         // ∅→C→AC→ABCE.
         assert_eq!(inc.n_edges(), 3);
         let lattice = inc.into_lattice();
@@ -1160,34 +1166,37 @@ mod tests {
 
     #[test]
     fn generator_tags_stay_minimal_and_aligned() {
+        // The paper's iceberg at minsup 2, inserted in reverse: the tags
+        // derived from the lower covers are the minimal generators of
+        // each class, aligned with the canonical node order.
         let mut inc = IncrementalLattice::new();
-        inc.insert(&set(&[2, 5]), 4, Some(&set(&[2])));
-        inc.insert(&set(&[2, 5]), 4, Some(&set(&[2, 5]))); // subsumed
-        inc.insert(&set(&[2, 5]), 4, Some(&set(&[5])));
-        inc.insert(&set(&[3]), 4, Some(&set(&[3])));
-        inc.insert(&set(&[3]), 4, None);
+        for (s, sup) in paper_pairs().iter().rev() {
+            inc.insert(s, *sup);
+        }
+        assert!((0..inc.n_nodes()).all(|id| inc.generator_tags(id).is_empty()));
+        let stats = inc.derive_generator_tags();
+        assert_eq!(stats.transversal_fallbacks, 0);
+        assert!(stats.candidates > 0);
+        assert_eq!(inc.gen_stats(), stats);
+        for id in 0..inc.n_nodes() {
+            assert_eq!(inc.generator_tags(id), inc.oracle_generators_of(id));
+        }
         let (lattice, generators) = inc.finish();
+        assert_eq!(generators[lattice.bottom()], vec![Itemset::empty()]);
         let be = lattice.position(&set(&[2, 5])).unwrap();
         let c = lattice.position(&set(&[3])).unwrap();
+        let abce = lattice.position(&set(&[1, 2, 3, 5])).unwrap();
         assert_eq!(generators[be], vec![set(&[2]), set(&[5])]);
         assert_eq!(generators[c], vec![set(&[3])]);
-    }
-
-    #[test]
-    fn tag_replaces_subsumed_larger_generator() {
-        let mut inc = IncrementalLattice::new();
-        inc.insert(&set(&[1, 2, 3]), 2, Some(&set(&[1, 2])));
-        inc.insert(&set(&[1, 2, 3]), 2, Some(&set(&[1])));
-        let (_, generators) = inc.finish();
-        assert_eq!(generators[0], vec![set(&[1])]);
+        assert_eq!(generators[abce], vec![set(&[1, 2]), set(&[1, 5])]);
     }
 
     #[test]
     #[should_panic(expected = "conflicting supports")]
     fn conflicting_support_panics() {
         let mut inc = IncrementalLattice::new();
-        inc.insert(&set(&[1]), 3, None);
-        inc.insert(&set(&[1]), 2, None);
+        inc.insert(&set(&[1]), 3);
+        inc.insert(&set(&[1]), 2);
     }
 
     /// Replays the paper example object by object.
@@ -1639,7 +1648,7 @@ mod tests {
         assert_eq!(lattice.n_nodes(), 0);
 
         let mut one = IncrementalLattice::new();
-        one.insert(&set(&[0, 1]), 5, None);
+        one.insert(&set(&[0, 1]), 5);
         let lattice = one.into_lattice();
         assert_eq!(lattice.n_nodes(), 1);
         assert_eq!(lattice.n_edges(), 0);

@@ -10,8 +10,10 @@
 //!   derivation (logical closure, entailment, equivalence);
 //! * [`next_closure`] — Ganter's NextClosure enumeration and the full
 //!   stem-base (Duquenne-Guigues) construction;
-//! * [`pseudo::frequent_pseudo_closed`] — the paper's frequent
-//!   pseudo-closed itemsets `FP` (Theorem 1);
+//! * [`pseudo::pseudo_closed_from_generators`] — the paper's frequent
+//!   pseudo-closed itemsets `FP` (Theorem 1) from the iceberg classes'
+//!   minimal generators, with [`pseudo::frequent_pseudo_closed`] as the
+//!   `F`-based reference;
 //! * [`IcebergLattice`] — the order `(FC, ⊆)` with its Hasse diagram,
 //!   whose edge set is the transitive reduction of Theorem 2.
 //!
@@ -47,4 +49,4 @@ pub use incremental::{GenMaintenance, GenStats, IncrementalLattice, LatticeDelta
 pub use lattice::IcebergLattice;
 pub use lattice_stats::LatticeStats;
 pub use next_closure::{next_closed, stem_base, AllClosed, StemBase};
-pub use pseudo::{frequent_pseudo_closed, PseudoClosed};
+pub use pseudo::{frequent_pseudo_closed, pseudo_closed_from_generators, PseudoClosed};

@@ -4,14 +4,35 @@
 //! > closed and that contains the closures of all its subsets that are
 //! > frequent pseudo-closed itemsets."
 //!
-//! [`frequent_pseudo_closed`] computes the set `FP` directly from this
-//! definition by a fixpoint over the frequent itemsets in size order (a
-//! proper subset is always strictly smaller, so each candidate only needs
-//! the pseudo-closed sets already found). It is the one DG algorithm the
-//! bases pipelines run — batch mining and streaming maintenance alike
-//! feed it `F` derived from the iceberg family. The support-unrestricted
-//! stem base of [`crate::next_closure`] is the independent reference; the
-//! two are cross-checked here and in the integration tests.
+//! Two constructions of `FP` live here:
+//!
+//! * [`pseudo_closed_from_generators`] is the one the bases pipelines
+//!   run — batch mining and streaming maintenance alike. It reads only
+//!   the iceberg classes and their minimal generators, which the
+//!   incremental lattice already holds, and never materializes `F`.
+//! * [`frequent_pseudo_closed`] applies the definition literally, by a
+//!   fixpoint over all frequent itemsets in size order (a proper subset
+//!   is always strictly smaller, so each candidate only needs the
+//!   pseudo-closed sets already found). It is the `F`-based reference
+//!   the staged oracle and `DuquenneGuiguesBasis::build` use.
+//!
+//! # Why the generators suffice
+//!
+//! Fix a class `C` and let `S_C` be the sets `X ⊊ C` with `h(X) = C`
+//! that are closed under the rules `Q → h(Q)` of the pseudo-closed sets
+//! found in strictly smaller classes. The pseudo-closed sets of one class
+//! form an antichain, and a pseudo-closed `Q ⊊ P` has `h(Q) ⊊ h(P)`; so
+//! the pseudo-closed sets with closure `C` are exactly the minimal
+//! members of `S_C`. Every `X ∈ S_C` contains a minimal generator `g` of
+//! `C`, hence the closure of `g` under those rules, which itself lies in
+//! `S_C` (it stays inside `h(g) = C` and cannot reach `C`, being below
+//! `X`). So the minimal members of `S_C` are the minimal closures of
+//! `C`'s generators that stop short of `C` — one implication closure per
+//! generator, in classes visited smallest first.
+//!
+//! The support-unrestricted stem base of [`crate::next_closure`] is the
+//! independent reference; all three are cross-checked here and in the
+//! property tests.
 
 use rulebases_dataset::{Itemset, Support};
 use rulebases_mining::{ClosedItemsets, FrequentItemsets};
@@ -28,9 +49,84 @@ pub struct PseudoClosed {
     pub support: Support,
 }
 
+/// Computes the frequent pseudo-closed itemsets `FP` from the iceberg
+/// classes alone: each class's intent, support and minimal generators
+/// (see the [module docs](self) for why this is exact). `F` is never
+/// read.
+///
+/// `classes` must hold every frequent closed set of one context at one
+/// threshold, each with its *complete* list of minimal generators, in
+/// any order. The classes are visited in canonical (size, then
+/// lexicographic) order, so every strictly smaller class — the only ones
+/// whose rules can fire inside a class — comes first. Each generator is
+/// closed under the rules of the pseudo-closed sets found in strictly
+/// smaller classes within its own; the inclusion-minimal closures that
+/// stop short of the class are its pseudo-closed sets, with the class's
+/// support. The cost is one implication closure per generator, sized by
+/// `FP`, never by `F`.
+///
+/// Results are in canonical order, equal to [`frequent_pseudo_closed`]
+/// on the same context and threshold.
+pub fn pseudo_closed_from_generators<'a>(
+    classes: impl IntoIterator<Item = (&'a Itemset, Support, &'a [Itemset])>,
+) -> Vec<PseudoClosed> {
+    let mut classes: Vec<(&Itemset, Support, &[Itemset])> = classes.into_iter().collect();
+    classes.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut found: Vec<PseudoClosed> = Vec::new();
+    for (class, support, generators) in classes {
+        debug_assert!(!generators.is_empty(), "class {class:?} untagged");
+        // Only the rules of strictly smaller classes inside this one can
+        // fire on a subset of it.
+        let rules: Vec<&PseudoClosed> = found
+            .iter()
+            .filter(|p| p.closure.is_proper_subset_of(class))
+            .collect();
+        let mut closures: Vec<Itemset> = generators
+            .iter()
+            .map(|g| close_under(g, &rules))
+            .filter(|x| x.len() < class.len())
+            .collect();
+        // Canonical order puts every subset before its supersets, so one
+        // pass keeps exactly the inclusion-minimal closures.
+        closures.sort_unstable();
+        closures.dedup();
+        let mut minimal: Vec<Itemset> = Vec::new();
+        for x in closures {
+            if !minimal.iter().any(|m| m.is_subset_of(&x)) {
+                minimal.push(x);
+            }
+        }
+        found.extend(minimal.into_iter().map(|set| PseudoClosed {
+            set,
+            closure: class.clone(),
+            support,
+        }));
+    }
+    found.sort_unstable_by(|a, b| a.set.cmp(&b.set));
+    found
+}
+
+/// The least superset of `set` closed under the rules `P → h(P)`.
+fn close_under(set: &Itemset, rules: &[&PseudoClosed]) -> Itemset {
+    let mut closed = set.clone();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for p in rules {
+            if p.set.is_subset_of(&closed) && !p.closure.is_subset_of(&closed) {
+                closed = closed.union(&p.closure);
+                changed = true;
+            }
+        }
+    }
+    closed
+}
+
 /// Computes the frequent pseudo-closed itemsets `FP` from the frequent
 /// itemsets and the frequent closed itemsets of the same context at the
-/// same threshold.
+/// same threshold — the definition applied to every frequent itemset,
+/// retained as the reference [`pseudo_closed_from_generators`] is tested
+/// against.
 ///
 /// The empty itemset is considered frequent (it is supported by every
 /// object); it is pseudo-closed exactly when `h(∅) ≠ ∅`, and in that case
@@ -104,6 +200,30 @@ mod tests {
         let frequent = brute_frequent(&ctx, MinSupport::Count(min_count));
         let fc = brute_closed(&ctx, MinSupport::Count(min_count));
         frequent_pseudo_closed(&frequent, &fc)
+    }
+
+    /// `FP` from the generator tags of an object-replayed lattice.
+    fn fp_from_generators(db: &TransactionDb, min_count: u64) -> Vec<PseudoClosed> {
+        let mut lattice = crate::IncrementalLattice::new();
+        for t in 0..db.n_transactions() {
+            lattice.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
+        }
+        let (iceberg, tags) = lattice.snapshot(min_count);
+        pseudo_closed_from_generators((0..iceberg.n_nodes()).map(|i| {
+            let (set, support) = iceberg.node(i);
+            (set, support, tags[i].as_slice())
+        }))
+    }
+
+    #[test]
+    fn generator_route_gives_the_paper_example_fp_at_minsup_two() {
+        // FP = {A, B, E}: the generators A, B and E close short of their
+        // classes AC and BE, while BC, CE, AB and AE fire B → BE, E → BE
+        // or A → AC up to their whole class.
+        let fp = fp_from_generators(&paper_example(), 2);
+        let sets: Vec<Itemset> = fp.iter().map(|p| p.set.clone()).collect();
+        assert_eq!(sets, vec![set(&[1]), set(&[2]), set(&[5])]);
+        assert_eq!(fp, fp_of(paper_example(), 2));
     }
 
     #[test]

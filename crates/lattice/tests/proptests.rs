@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use rulebases_dataset::{Itemset, MinSupport, MiningContext, TransactionDb};
 use rulebases_lattice::hasse::verify_covers;
 use rulebases_lattice::{
-    frequent_pseudo_closed, next_closed, stem_base, AllClosed, ClosureOperator, GenMaintenance,
-    IcebergLattice, Implication, ImplicationSet, IncrementalLattice,
+    frequent_pseudo_closed, next_closed, pseudo_closed_from_generators, stem_base, AllClosed,
+    ClosureOperator, GenMaintenance, IcebergLattice, Implication, ImplicationSet,
+    IncrementalLattice,
 };
 use rulebases_mining::brute::{brute_closed, brute_frequent};
 use std::collections::VecDeque;
@@ -112,6 +113,39 @@ proptest! {
         from_stem.sort();
         from_definition.sort();
         prop_assert_eq!(from_definition, from_stem);
+    }
+
+    #[test]
+    fn pseudo_closed_from_generators_matches_the_definition(
+        db in contexts(),
+        min_count in 1u64..5,
+    ) {
+        // FP from the iceberg classes' generator tags (object-replayed
+        // lattice) equals FP from the definition over all of F, and the
+        // cover-derived tags of a closed-set-inserted iceberg equal the
+        // replayed ones class for class.
+        let mut inc = IncrementalLattice::new();
+        for t in 0..db.n_transactions() {
+            inc.insert_object(&Itemset::from_sorted(db.transaction(t).to_vec()));
+        }
+        let ctx = MiningContext::new(db);
+        let frequent = brute_frequent(&ctx, MinSupport::Count(min_count));
+        let fc = brute_closed(&ctx, MinSupport::Count(min_count));
+        let (iceberg, tags) = inc.snapshot(min_count);
+        let from_generators = pseudo_closed_from_generators((0..iceberg.n_nodes()).map(|i| {
+            let (set, support) = iceberg.node(i);
+            (set, support, tags[i].as_slice())
+        }));
+        prop_assert_eq!(from_generators, frequent_pseudo_closed(&frequent, &fc));
+
+        let mut batch = IncrementalLattice::new();
+        for (set, support) in fc.iter() {
+            batch.insert(set, support);
+        }
+        prop_assert_eq!(batch.derive_generator_tags().transversal_fallbacks, 0);
+        let (batch_iceberg, batch_tags) = batch.finish();
+        prop_assert_eq!(batch_iceberg.n_nodes(), iceberg.n_nodes());
+        prop_assert_eq!(batch_tags, tags);
     }
 
     #[test]

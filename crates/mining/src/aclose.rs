@@ -60,10 +60,10 @@ impl AClose {
     }
 
     /// Mines the frequent closed itemsets of any [`SupportEngine`] at
-    /// `minsup`, streaming every `(closure, support)` pair into `sink`
-    /// tagged with the minimal generator it was closed from. Distinct
-    /// generators of one closure class produce duplicate emissions; sinks
-    /// deduplicate (see [`ClosedSink`]).
+    /// `minsup`, streaming the `(closure, support)` pair of every minimal
+    /// generator into `sink`. Distinct generators of one closure class
+    /// produce duplicate emissions; sinks deduplicate (see
+    /// [`ClosedSink`]).
     pub fn mine_engine_sink(
         &self,
         engine: &dyn SupportEngine,
@@ -89,8 +89,8 @@ impl AClose {
         let close_one = |(g, support): &(&Itemset, Support)| (engine.closure(g), *support);
         let gens: Vec<(&Itemset, Support)> = generators.iter().collect();
         let pairs: Vec<(Itemset, Support)> = map_level(engine, self.parallelism, &gens, close_one);
-        for ((generator, _), (closure, support)) in gens.iter().zip(&pairs) {
-            sink.accept(closure, *support, Some(generator));
+        for (closure, support) in &pairs {
+            sink.accept(closure, *support);
         }
         stats
     }

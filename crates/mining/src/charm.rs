@@ -118,8 +118,7 @@ impl Charm {
     /// CHARM's subsumption check can retract a candidate after it was
     /// recorded (the collector resolves subsumption in both directions),
     /// so this path buffers in the collector and flushes once the IT-tree walk settles — the sink
-    /// contract forbids retractions. The IT-tree carries no generator
-    /// information, so emissions are untagged.
+    /// contract forbids retractions.
     pub fn mine_engine_sink(
         &self,
         engine: &dyn SupportEngine,
@@ -161,14 +160,10 @@ impl Charm {
 
         // Lattice bottom — frequent unless the threshold exceeds |O|.
         if n as Support >= min_count {
-            sink.accept(
-                &engine.closure(&Itemset::empty()),
-                n as Support,
-                Some(&Itemset::empty()),
-            );
+            sink.accept(&engine.closure(&Itemset::empty()), n as Support);
         }
         for (set, support) in &collector.sets {
-            sink.accept(set, *support, None);
+            sink.accept(set, *support);
         }
         stats
     }

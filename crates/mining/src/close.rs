@@ -65,10 +65,10 @@ impl Close {
     }
 
     /// Mines the frequent closed itemsets of any [`SupportEngine`] at
-    /// `minsup`, streaming every discovered closed set (tagged with the
-    /// generator that reached it) into `sink` instead of materializing a
-    /// container. One closure class may be emitted once per generator;
-    /// sinks deduplicate (see [`ClosedSink`]).
+    /// `minsup`, streaming every discovered closed set into `sink`
+    /// instead of materializing a container. One closure class may be
+    /// emitted once per generator that reaches it; sinks deduplicate (see
+    /// [`ClosedSink`]).
     pub fn mine_engine_sink(
         &self,
         engine: &dyn SupportEngine,
@@ -85,11 +85,7 @@ impl Close {
         // Lattice bottom: closure of the empty set, supported by every
         // object — frequent unless the threshold exceeds |O|.
         if n as Support >= min_count {
-            sink.accept(
-                &engine.closure(&Itemset::empty()),
-                n as Support,
-                Some(&Itemset::empty()),
-            );
+            sink.accept(&engine.closure(&Itemset::empty()), n as Support);
         }
 
         // Level 1: singleton generators. One pass computes extents,
@@ -106,10 +102,7 @@ impl Close {
             }
             let generator = Itemset::from_ids([i as u32]);
             let closure = engine.closure_of_tidset(&cover);
-            // A full-support singleton reaches the bottom, whose minimal
-            // generator is ∅ (tagged above) — the singleton is not one.
-            let tag = (support < n as Support).then_some(&generator);
-            sink.accept(&closure, support, tag);
+            sink.accept(&closure, support);
             closures.insert(generator.clone(), closure);
             generators.push(generator);
         }
@@ -148,7 +141,7 @@ impl Close {
                 let Some((closure, support)) = result else {
                     continue;
                 };
-                sink.accept(&closure, support, Some(&candidate));
+                sink.accept(&closure, support);
                 next_closures.insert(candidate.clone(), closure);
                 next_generators.push(candidate);
             }

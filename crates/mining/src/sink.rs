@@ -19,14 +19,11 @@
 //!   subsumption check) buffer internally and flush once settled, rather
 //!   than stream retractions.
 //! * Emission order is unspecified; sinks must not rely on it.
-//! * `generator` optionally names a minimal generator of the emitted
-//!   closed set (a minimal itemset with the same closure) when the
-//!   traversal has one at hand — the levelwise miners work generator-wise
-//!   and tag for free, CHARM's IT-tree does not and passes `None`.
-//!   Downstream, these miner-proven generators seed the incremental
-//!   lattice's per-class tag sets directly (subsumption-minimal
-//!   recording, no recomputation), so the fused pipeline never derives
-//!   a generator the miner already proved.
+//!
+//! Only `(set, support)` pairs cross the sink. The fused pipeline's
+//! incremental lattice derives every class's minimal generators from its
+//! lower covers once the mine is done, so all three miners yield the same
+//! complete tags without carrying generators through the traversal.
 
 use crate::itemsets::ClosedItemsets;
 use rulebases_dataset::{Itemset, Support};
@@ -34,10 +31,8 @@ use rulebases_dataset::{Itemset, Support};
 /// Receives closed itemsets as a miner discovers them.
 pub trait ClosedSink {
     /// Observes one discovered frequent closed itemset (possibly a
-    /// duplicate of an earlier emission, always with the same support),
-    /// together with the minimal generator that produced it when the
-    /// miner knows one.
-    fn accept(&mut self, set: &Itemset, support: Support, generator: Option<&Itemset>);
+    /// duplicate of an earlier emission, always with the same support).
+    fn accept(&mut self, set: &Itemset, support: Support);
 }
 
 /// The trivial sink: collects every emission into a vector, from which
@@ -62,7 +57,7 @@ impl CollectSink {
 }
 
 impl ClosedSink for CollectSink {
-    fn accept(&mut self, set: &Itemset, support: Support, _generator: Option<&Itemset>) {
+    fn accept(&mut self, set: &Itemset, support: Support) {
         self.pairs.push((set.clone(), support));
     }
 }
@@ -78,9 +73,9 @@ mod tests {
     #[test]
     fn collect_sink_dedups_and_sorts() {
         let mut sink = CollectSink::new();
-        sink.accept(&set(&[2, 5]), 4, None);
-        sink.accept(&set(&[3]), 4, Some(&set(&[3])));
-        sink.accept(&set(&[2, 5]), 4, Some(&set(&[2])));
+        sink.accept(&set(&[2, 5]), 4);
+        sink.accept(&set(&[3]), 4);
+        sink.accept(&set(&[2, 5]), 4);
         let fc = sink.into_closed(2, 5);
         assert_eq!(fc.len(), 2);
         let sets: Vec<Itemset> = fc.iter().map(|(s, _)| s.clone()).collect();

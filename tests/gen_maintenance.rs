@@ -6,8 +6,9 @@
 //! extension/subsumption rules alone — every `BasesDelta` reports zero
 //! transversal fallbacks, the per-batch work counters sum to the
 //! session's lifetime tally, and the maintained tags land exactly on the
-//! ones a from-scratch fused mine (whose generators the levelwise miner
-//! proves independently) derives for the same window of rows. A second
+//! ones a from-scratch fused mine derives for the same window of rows
+//! (from the mined iceberg's covers, independently of the streaming
+//! rules). A second
 //! pin replays a sliding window directly against the raw lattice and
 //! checks the maintained tags against the retained transversal oracle
 //! after every mutation.
@@ -87,7 +88,7 @@ proptest! {
             prop_assert_eq!(stream.n_objects(), window_rows.len());
 
             // The maintained tags must be exactly what a from-scratch
-            // fused mine proves for the same rows, class by class.
+            // fused mine derives for the same rows, class by class.
             let fresh = miner.mine(TransactionDb::from_rows(window_rows));
             let streamed = stream.bases();
             let stags = &streamed.minimal_generators;

@@ -346,3 +346,45 @@ fn auto_resolution_is_exposed_and_stable_across_batches() {
         .streaming(TransactionDb::from_rows(census_rows(8)));
     assert_eq!(explicit.context().resolved_kind(), EngineKind::TidList);
 }
+
+/// A push over a class of 64 or more items stays inside the maintained
+/// state: the DG comes from the classes' generator tags, so no `F` is
+/// derived and no engine is queried (before, deriving `F` for the DG fell
+/// back to an Apriori run over the context that exhausted memory).
+/// `bases()` is deliberately not called: materializing the bundle's `F`
+/// is still exponential in the widest class.
+#[test]
+fn a_push_over_a_seventy_item_class_makes_no_engine_calls() {
+    let wide: Vec<u32> = (0..70).collect();
+    let rows = vec![wide.clone(), wide.clone(), wide, vec![0]];
+    let mut stream =
+        RuleMiner::new(MinSupport::Count(2)).streaming(TransactionDb::from_rows(vec![]));
+    let before = stream.context().closure_cache_stats().engine_calls();
+    let delta = stream.push_batch(rows.clone()).unwrap();
+    assert_eq!(
+        stream.context().closure_cache_stats().engine_calls() - before,
+        0,
+        "the push queried the support engine"
+    );
+    // h(∅) = {0}, so ∅ is pseudo-closed, and so is every pair {0, i}
+    // below the 70-item class: 70 rules, the stem base's supported
+    // pseudo-closed sets.
+    let ctx = MiningContext::new(TransactionDb::from_rows(rows));
+    let mut expected: Vec<_> = rulebases_lattice::stem_base(&ctx)
+        .pseudo_closed()
+        .filter(|p| ctx.support(p) >= 2)
+        .cloned()
+        .collect();
+    expected.sort();
+    let mut premises: Vec<_> = delta
+        .dg
+        .added
+        .iter()
+        .map(|r| r.antecedent.clone())
+        .collect();
+    premises.sort();
+    assert_eq!(premises.len(), 70);
+    assert_eq!(premises, expected);
+    assert!(delta.dg.removed.is_empty());
+    assert_eq!(delta.gen.transversal_fallbacks, 0);
+}
